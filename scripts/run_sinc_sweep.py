@@ -24,7 +24,7 @@ def main():
     ess = ess_inf_estimate(spec, grid)
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
     results = continuation_sweep(
-        V, [f * a_star for f in FRACTIONS], grid, opts, a_star=a_star, profile=profile
+        V, [f * a_star for f in FRACTIONS], grid, opts, a_star=a_star
     )
     print(f"ess inf V = {ess:.6f}")
     for res in results:

@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import SweepConfig, load_config
 from .diagnostics import SweepReport, analyze_sweep, rescale_and_align
@@ -24,6 +22,7 @@ from .energy import EnergyBreakdown, energy
 from .errors import (
     BoxTooSmall,
     ConfigError,
+    CriticalCouplingGuard,
     FileFormatError,
     GPError,
     InsufficientData,
@@ -31,8 +30,8 @@ from .errors import (
     InvalidProfile,
     NonConvergence,
 )
-from .grid import Field, make_grid, normalize, read_gpf, write_gpf
-from .minimizer import MinimizerOptions, continuation_sweep, minimize
+from .grid import make_grid, normalize, read_gpf, write_gpf
+from .minimizer import MinimizerOptions, continuation_sweep, gaussian_init, minimize
 from .potentials import check_v2, ess_inf_estimate, parse_potential, realize
 from .soliton import (
     critical_coupling,
@@ -69,7 +68,7 @@ def _write_csv(path, header, rows):
 class _Manifest:
     """Collects everything a run writes plus the reproducibility record."""
 
-    def __init__(self, subcommand: str, config_echo: dict, seed: int = 0):
+    def __init__(self, subcommand: str, config_echo: dict):
         self._t0 = time.monotonic()
         self.data = {
             "version": __version__,
@@ -77,7 +76,6 @@ class _Manifest:
             "config": config_echo,
             "grid": None,
             "a_star": None,
-            "seed": seed,
             "outputs": [],
             "status": "ok",
             "notes": [],
@@ -135,10 +133,9 @@ def _realized_potential(spec_text: str, L: float, n: int):
 
 def cmd_minimize(args) -> int:
     spec, grid, V = _realized_potential(args.potential, args.L, args.n)
-    profile = _profile_cached()
-    a_star = critical_coupling(profile)
+    a_star = critical_coupling(_profile_cached())
     opts = MinimizerOptions(tol_residual=args.tol, max_iters=args.max_iters)
-    res = minimize(V, args.a, grid, opts, a_star=a_star, profile=profile)
+    res = minimize(V, args.a, grid, opts, a_star=a_star)
     out = {
         "E": res.E,
         "residual": res.residual,
@@ -161,18 +158,16 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _run_schedule(cfg: SweepConfig, manifest: _Manifest):
-    """Shared sweep machinery: returns (grid, V, profile, a_star, results)."""
+def _run_schedule(cfg: SweepConfig, manifest: _Manifest, profile):
+    """Shared sweep machinery: the continuation sweep over cfg's schedule."""
     grid = make_grid(cfg.L, cfg.n)
     V = realize(cfg.potential, grid)
-    profile = _profile_cached()
     a_star = critical_coupling(profile)
     manifest.data["grid"] = {"L": grid.L, "n": grid.n}
     manifest.data["a_star"] = a_star
     schedule = cfg.schedule(a_star)
     opts = MinimizerOptions(tol_residual=cfg.tol, max_iters=cfg.max_iters)
-    results = continuation_sweep(V, schedule, grid, opts, a_star=a_star, profile=profile)
-    return grid, V, profile, a_star, results
+    return continuation_sweep(V, schedule, grid, opts, a_star=a_star)
 
 
 def _box_check(cfg: SweepConfig, results, manifest: _Manifest):
@@ -193,8 +188,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest("sweep", cfg.raw, seed=cfg.seed)
-    grid, V, profile, a_star, results = _run_schedule(cfg, manifest)
+    manifest = _Manifest("sweep", cfg.raw)
+    results = _run_schedule(cfg, manifest, _profile_cached())
 
     rows = []
     for i, res in enumerate(results):
@@ -241,16 +236,8 @@ def cmd_blowup(args) -> int:
 
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest("blowup", cfg.raw, seed=cfg.seed)
-
-    grid = make_grid(cfg.L, cfg.n)
-    V = realize(cfg.potential, grid)
-    a_star = critical_coupling(profile)
-    manifest.data["grid"] = {"L": grid.L, "n": grid.n}
-    manifest.data["a_star"] = a_star
-    schedule = cfg.schedule(a_star)
-    opts = MinimizerOptions(tol_residual=cfg.tol, max_iters=cfg.max_iters)
-    results = continuation_sweep(V, schedule, grid, opts, a_star=a_star, profile=profile)
+    manifest = _Manifest("blowup", cfg.raw)
+    results = _run_schedule(cfg, manifest, profile)
 
     kwargs = {}
     if cfg.potential.kind == "power_well":
@@ -334,9 +321,7 @@ def cmd_check_v2(args) -> int:
         if u.grid != grid:
             raise ConfigError("field grid does not match --L/--n")
     else:
-        # default carrier: unit-mass Gaussian of the requested width
-        rr = grid.radius()
-        u = normalize(Field(grid, np.exp(-(rr**2) / (2.0 * args.width**2))))
+        u = gaussian_init(grid, width=args.width)
     report = check_v2(spec, u, args.eps, grid)
     sys.stdout.write(_dump_json(report.as_dict()))
     return EXIT_OK
@@ -418,6 +403,7 @@ def run(argv=None) -> int:
         InvalidProfile,
         BoxTooSmall,
         InvalidGrid,
+        CriticalCouplingGuard,
         FileNotFoundError,
         ValueError,
     ) as exc:

@@ -16,7 +16,6 @@ KNOWN_KEYS = {
     "max_iters",
     "out_dir",
     "box_check",
-    "seed",
 }
 
 
@@ -30,7 +29,6 @@ class SweepConfig:
     max_iters: int = 20000
     out_dir: str = "report"
     box_check: bool = False
-    seed: int = 0
     raw: dict = field(default_factory=dict)
 
     def schedule(self, a_star: float) -> list[float]:
@@ -83,7 +81,6 @@ def parse_config_text(text: str) -> SweepConfig:
             max_iters=int(kv.get("max_iters", 20000)),
             out_dir=kv.get("out_dir", "report"),
             box_check=_parse_bool(kv.get("box_check", "off")),
-            seed=int(kv.get("seed", 0)),
             raw=dict(kv),
         )
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData, UnderResolved
-from .grid import Field, inner, kinetic, l2_norm, mass, resample_affine
+from .grid import Field, inner, kinetic, l2_norm, mass, peak_location, resample_affine
 from .soliton import RadialProfile, lift_to_grid, radial_moment
 
 RESOLVE_FACTOR = 4.0  # entries with eps below this many cells are excluded
@@ -55,20 +55,7 @@ class Classification:
 
 def peak_center(u: Field) -> tuple:
     """Density argmax refined by a separable quadratic fit."""
-    g = u.grid
-    dens = u.values**2
-    iy, ix = np.unravel_index(np.argmax(dens), dens.shape)
-    n = g.n
-
-    def offset(vm, v0, vp):
-        denom = vm - 2.0 * v0 + vp
-        if denom >= 0:
-            return 0.0
-        return float(np.clip(0.5 * (vm - vp) / denom, -0.5, 0.5))
-
-    ox = offset(dens[iy, (ix - 1) % n], dens[iy, ix], dens[iy, (ix + 1) % n])
-    oy = offset(dens[(iy - 1) % n, ix], dens[iy, ix], dens[(iy + 1) % n, ix])
-    return (float(g.x[ix] + ox * g.dx), float(g.x[iy] + oy * g.dx))
+    return peak_location(u.grid, u.values**2)
 
 
 def rescale_and_align(u: Field, profile: RadialProfile):

@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import FileFormatError, InvalidGrid, OddSampleCount
 
@@ -139,39 +140,39 @@ def laplacian_apply(u: Field) -> Field:
 
 def kinetic(u: Field) -> float:
     """Integral of |grad u|^2 via Parseval; nonnegative."""
-    g = u.grid
-    uh = np.fft.rfft2(u.values)
-    val = (
-        np.sum(g.rfft_weights[None, :] * g.k2r * np.abs(uh) ** 2)
-        * g.weight
-        / g.n**2
-    )
-    return float(max(val, 0.0))
+    from .energy import Functional  # the functional kernel is built on this module
 
-
-def integrate_power(u: Field, q: float) -> float:
-    """Integral of |u|^q with the grid quadrature."""
-    return float(np.sum(np.abs(u.values) ** q) * u.grid.weight)
+    return Functional(u.grid).kinetic(fft.rfft2(u.values))
 
 
 def convolve_potential(V: Field, dens: Field) -> Field:
-    """Periodic convolution (V * dens)(y) computed by DFT product."""
+    """Periodic convolution (V * dens)(y) at the samples y = x_i, by DFT product."""
     if V.grid != dens.grid:
         raise ValueError("potential and density live on different grids")
     vh = np.fft.rfft2(V.values)
     dh = np.fft.rfft2(dens.values)
     out = np.fft.irfft2(vh * dh, s=V.values.shape) * V.grid.weight
-    return Field(V.grid, out)
+    # both factors count their samples from -L, so the cyclic product lands
+    # at x_i - L; half a period brings it back to x_i
+    half = V.grid.n // 2
+    return Field(V.grid, np.roll(out, (half, half), axis=(0, 1)))
 
 
-def gradient_fields(u: Field):
-    """Spectral partial derivatives (du/dx, du/dy)."""
-    g = u.grid
-    uh = np.fft.fft2(u.values)
-    k = g.k
-    ux = np.fft.ifft2(1j * k[None, :] * uh).real
-    uy = np.fft.ifft2(1j * k[:, None] * uh).real
-    return Field(g, ux), Field(g, uy)
+def peak_location(grid: Grid2D, vals: np.ndarray) -> tuple:
+    """(x, y) of the largest sample, refined by a separable parabola
+    through its 3x3 neighbourhood."""
+    iy, ix = np.unravel_index(np.argmax(vals), vals.shape)
+    n = grid.n
+
+    def offset(vm, v0, vp):
+        denom = vm - 2.0 * v0 + vp
+        if denom >= 0:
+            return 0.0
+        return float(np.clip(0.5 * (vm - vp) / denom, -0.5, 0.5))
+
+    ox = offset(vals[iy, (ix - 1) % n], vals[iy, ix], vals[iy, (ix + 1) % n])
+    oy = offset(vals[(iy - 1) % n, ix], vals[iy, ix], vals[(iy + 1) % n, ix])
+    return (float(grid.x[ix] + ox * grid.dx), float(grid.x[iy] + oy * grid.dx))
 
 
 def resample_affine(u: Field, scale: float, offset=(0.0, 0.0)) -> np.ndarray:

@@ -5,9 +5,9 @@ sphere-projected gradient P_u g = g - <g,u> u, with Armijo backtracking on
 tau so the energy trace is monotone nonincreasing.  Positivity is enforced
 by taking the absolute value after each step.
 
-By default the descent direction is preconditioned by (c - Lap)^{-1}; the
-residual, termination test, and all reported quantities use the plain
-projected gradient.
+The descent direction is preconditioned by (c - Lap)^{-1} with c =
+max(1, |mu|); the residual, termination test, and all reported quantities
+use the plain projected gradient.
 """
 
 from __future__ import annotations
@@ -17,39 +17,36 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .energy import energy, energy_gradient, eps_width
-from .errors import CriticalCouplingGuard
-from .grid import Field, Grid2D, inner, l2_norm, laplacian_apply, normalize
-from .soliton import RadialProfile, lift_to_grid
+from .energy import Functional, dilate, energy_gradient
+from .errors import CriticalCouplingGuard, ResolutionExceeded
+from .grid import Field, Grid2D, inner, l2_norm, normalize, shift_to_index
 
 CRITICALITY_MARGIN = 1e-4
+STEP_INIT = 0.5
+BACKTRACK_FACTOR = 0.5
 
 
 @dataclass
 class MinimizerOptions:
     tol_residual: float = 1e-7
     max_iters: int = 20000
-    step_init: float = 0.5
-    backtrack_factor: float = 0.5
-    init_kind: str = "gaussian"  # gaussian | townes | prior_rescaled | from_file
-    precondition: bool = True
-    precond_shift: float = 1.0
-    init_width: float = 1.0
 
     def __post_init__(self):
         if self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
 class MinimizerResult:
+    """The returned iterate u with its energy E, Lagrange multiplier mu and
+    projected-gradient residual, all evaluated at u."""
+
     u: Field
     E: float
     residual: float
+    mu: float
     iters: int
     converged: bool
     eps: float
@@ -58,23 +55,26 @@ class MinimizerResult:
     energy_trace: list = field(default_factory=list, repr=False)
 
 
-def gaussian_init(grid: Grid2D, V: Field, width: float = 1.0) -> Field:
-    """Unit-mass Gaussian of the given width centered at the grid argmin of V."""
-    idx = np.unravel_index(np.argmin(V.values), V.values.shape)
-    cx, cy = grid.x[idx[1]], grid.x[idx[0]]
-    rr = grid.radius((cx, cy))
+def gaussian_init(grid: Grid2D, center=(0.0, 0.0), width: float = 1.0) -> Field:
+    """Unit-mass Gaussian of the given width centered at ``center``."""
+    rr = grid.radius(center)
     return normalize(Field(grid, np.exp(-(rr**2) / (2.0 * width**2))))
 
 
-def _initial_field(V, grid, opts, init, profile):
+def _initial_field(V, grid, init):
     if init is not None:
         return normalize(Field(grid, np.abs(init.values)))
-    if opts.init_kind == "townes":
-        if profile is None:
-            raise ValueError("init_kind='townes' requires a radial profile")
-        idx = np.unravel_index(np.argmin(V.values), V.values.shape)
-        return lift_to_grid(profile, grid, (grid.x[idx[1]], grid.x[idx[0]]))
-    return gaussian_init(grid, V, opts.init_width)
+    idx = np.unravel_index(np.argmin(V.values), V.values.shape)
+    return gaussian_init(grid, (grid.x[idx[1]], grid.x[idx[0]]))
+
+
+def _projected_gradient(func: Functional, u, uh):
+    """(P_u g, mu, ||P_u g||) for the half-gradient g at u, mu = <g, u>."""
+    w = func.grid.weight
+    g = func.half_gradient(u, uh)
+    mu = float(np.sum(g * u) * w)
+    pg = g - mu * u
+    return pg, mu, float(np.sqrt(np.sum(pg**2) * w))
 
 
 def minimize(
@@ -84,7 +84,6 @@ def minimize(
     opts: MinimizerOptions | None = None,
     init: Field | None = None,
     a_star: float | None = None,
-    profile: RadialProfile | None = None,
 ) -> MinimizerResult:
     """Minimize E_a over the unit-mass sphere.
 
@@ -99,52 +98,31 @@ def minimize(
             f"a = {a} too close to the critical coupling {a_star}"
         )
 
-    u = _initial_field(V, grid, opts, init, profile)
+    func = Functional(grid, V.values, a)
+    k2r = func.k2r
     w = grid.weight
-    n = grid.n
-    k2r = grid.k2r
-    # Parseval weight of |v^|^2 in the kinetic term over the half-spectrum
-    kin_weight = grid.rfft_weights[None, :] * w / n**2 * k2r
-    vvals = V.values
-    shape = (n, n)
-
-    # integer powers are written as products: numpy's generic pow is an order
-    # of magnitude slower than multiplication on large arrays
-    def parts(vals, vh):
-        kin = float(np.sum(kin_weight * (vh.real * vh.real + vh.imag * vh.imag)))
-        sq = vals * vals
-        pot = float(np.sum(vvals * sq) * w)
-        quart = float(np.sum(sq * sq) * w)
-        return kin + pot - 0.5 * a * quart
-
-    uvals = u.values
+    shape = (grid.n, grid.n)
+    uvals = _initial_field(V, grid, init).values
     uh = fft.rfft2(uvals)
-    E = parts(uvals, uh)
+    E = func.energy(uvals, uh).total
     trace = [E]
-    tau = opts.step_init
+    tau = STEP_INIT
     residual = np.inf
-    converged = False
+    converged = accepted = False
     iters = 0
     prev_u = None
     prev_pg = None
     stalls = 0
     for iters in range(1, opts.max_iters + 1):
-        lap = fft.irfft2(-k2r * uh, s=shape)
-        gvals = -lap + vvals * uvals - a * (uvals * uvals * uvals)
-        mu = float(np.sum(gvals * uvals) * w)
-        pg = gvals - mu * uvals
-        residual = float(np.sqrt(np.sum(pg**2) * w))
+        pg, mu, residual = _projected_gradient(func, uvals, uh)
         if residual <= opts.tol_residual:
             converged = True
             break
-        if opts.precondition:
-            # shift tracks the chemical potential so the preconditioner stays
-            # effective as the minimizer concentrates
-            shift = max(opts.precond_shift, abs(mu))
-            d = fft.irfft2(fft.rfft2(pg) / (shift + k2r), s=shape)
-            d -= (np.sum(d * uvals) * w) * uvals
-        else:
-            d = pg
+        # shift tracks the chemical potential so the preconditioner stays
+        # effective as the minimizer concentrates
+        shift = max(1.0, abs(mu))
+        d = fft.irfft2(fft.rfft2(pg) / (shift + k2r), s=shape)
+        d -= (np.sum(d * uvals) * w) * uvals
         slope = float(np.sum(pg * d) * w)  # > 0 for an SPD preconditioner
         # Barzilai-Borwein guess for the trial step, clipped for safety
         if prev_u is not None:
@@ -154,9 +132,9 @@ def minimize(
             if denom != 0.0 and np.isfinite(denom):
                 tau = min(max(abs(float(np.sum(s * s)) / denom), 1e-6), 50.0)
             else:
-                tau = min(tau / opts.backtrack_factor, opts.step_init)
+                tau = min(tau / BACKTRACK_FACTOR, STEP_INIT)
         else:
-            tau = opts.step_init
+            tau = STEP_INIT
         prev_u = uvals.copy()
         prev_pg = pg
         accepted = False
@@ -172,12 +150,12 @@ def minimize(
             scale = 1.0 / np.sqrt(m)
             cand *= scale
             ch *= scale
-            E_cand = parts(cand, ch)
+            E_cand = func.energy(cand, ch).total
             if E_cand <= E - 1e-4 * tau * slope:
                 uvals, uh, E = cand, ch, E_cand
                 accepted = True
                 break
-            tau *= opts.backtrack_factor
+            tau *= BACKTRACK_FACTOR
         if not accepted:
             # step underflow: drop the Barzilai-Borwein memory and retry once
             # before reporting the best iterate
@@ -186,17 +164,21 @@ def minimize(
                 break
             prev_u = None
             prev_pg = None
-            tau = opts.step_init
+            tau = STEP_INIT
             continue
         stalls = 0
         trace.append(E)
 
-    u = Field(grid, uvals)
-    eps = eps_width(u)
+    if not converged and accepted:
+        # the budget ran out right after a step: mu and the residual so far
+        # describe the iterate before the one returned
+        _, mu, residual = _projected_gradient(func, uvals, uh)
+    eps = 1.0 / np.sqrt(func.kinetic(uh))
     return MinimizerResult(
-        u=u,
+        u=Field(grid, uvals),
         E=E,
         residual=float(residual),
+        mu=mu,
         iters=iters,
         converged=converged,
         eps=float(eps),
@@ -216,15 +198,12 @@ def el_residual(result: MinimizerResult, V: Field, a: float) -> float:
 
 def _recentered_dilate(u: Field, ell: float) -> Field:
     """Dilate about the density argmax so off-center bumps stay put."""
-    from .energy import dilate
-    from .grid import shift_to_index
-
     iy, ix = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
     i0 = u.grid.n // 2
     centered = shift_to_index(u, iy, ix)
     try:
         narrowed = dilate(centered, ell)
-    except Exception:
+    except ResolutionExceeded:
         return u
     vals = np.roll(narrowed.values, (iy - i0, ix - i0), axis=(0, 1))
     return Field(u.grid, vals)
@@ -236,7 +215,6 @@ def continuation_sweep(
     grid: Grid2D,
     opts: MinimizerOptions | None = None,
     a_star: float | None = None,
-    profile: RadialProfile | None = None,
 ) -> list[MinimizerResult]:
     """Run minimize along an ascending coupling schedule with warm starts.
 
@@ -254,7 +232,7 @@ def continuation_sweep(
         if init is not None and a_star is not None and i > 0:
             ell = ((a_star - schedule[i - 1]) / (a_star - a)) ** 0.25
             init = _recentered_dilate(init, max(ell, 1.0))
-        res = minimize(V, a, grid, opts, init=init, a_star=a_star, profile=profile)
+        res = minimize(V, a, grid, opts, init=init, a_star=a_star)
         results.append(res)
         init = res.u
     return results

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigError, FileFormatError
-from .grid import Field, Grid2D, convolve_potential, make_grid, mass, read_gpf
+from .grid import Field, Grid2D, convolve_potential, make_grid, mass, peak_location, read_gpf
 
 KINDS = ("zero", "constant", "power_well", "lattice", "sinc", "file")
 
@@ -179,22 +179,6 @@ class V2Report:
         }
 
 
-def _quadratic_refine(vals: np.ndarray, grid: Grid2D, iy: int, ix: int):
-    """Sub-grid minimum via a separable parabola through the 3x3 neighborhood."""
-    n = grid.n
-
-    def axis_offset(vm, v0, vp):
-        denom = vm - 2.0 * v0 + vp
-        if denom <= 0:
-            return 0.0
-        return float(np.clip(0.5 * (vm - vp) / denom, -0.5, 0.5))
-
-    ox = axis_offset(vals[iy, (ix - 1) % n], vals[iy, ix], vals[iy, (ix + 1) % n])
-    oy = axis_offset(vals[(iy - 1) % n, ix], vals[iy, ix], vals[(iy + 1) % n, ix])
-    x = grid.x
-    return (float(x[ix] + ox * grid.dx), float(x[iy] + oy * grid.dx))
-
-
 def _embed_doubled(u: Field, big: Grid2D) -> Field:
     """Place u's samples in a box of doubled half-width (same spacing)."""
     n = u.grid.n
@@ -221,8 +205,7 @@ def check_v2(
     V = realize(spec, grid)
     dens = Field(grid, u.values**2)
     conv = convolve_potential(V, dens)
-    iy, ix = np.unravel_index(np.argmin(conv.values), conv.values.shape)
-    loc = _quadratic_refine(conv.values, grid, int(iy), int(ix))
+    loc = peak_location(grid, -conv.values)
     vmin = float(np.min(conv.values))
     vmax = float(np.max(conv.values))
     degenerate = (vmax - vmin) < 1e-12 * max(1.0, abs(vmax))

@@ -35,7 +35,7 @@ def harmonic_sweep(profile, a_star, grid512):
     schedule = [a_star * (1.0 - f) for f in fractions]
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
     t0 = time.monotonic()
-    results = continuation_sweep(V, schedule, grid512, opts, a_star=a_star, profile=profile)
+    results = continuation_sweep(V, schedule, grid512, opts, a_star=a_star)
     elapsed = time.monotonic() - t0
     report_obj = analyze_sweep(results, profile, p=2.0, h0=1.0)
     return report_obj, elapsed, [r.iters for r in results]
@@ -106,7 +106,7 @@ def test_criterion_5_energy_limit(profile, a_star, grid16):
     ess = ess_inf_estimate(spec, grid16)
     schedule = [f * a_star for f in (0.9, 0.95, 0.975, 0.9875)]
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
-    results = continuation_sweep(V, schedule, grid16, opts, a_star=a_star, profile=profile)
+    results = continuation_sweep(V, schedule, grid16, opts, a_star=a_star)
     energies = [r.E for r in results]
     gaps = [E - ess for E in energies]
     ok = (

@@ -90,6 +90,14 @@ def test_minimize_writes_outputs(tmp_path):
     assert u.grid.n == 64
 
 
+@pytest.mark.parametrize("a", ["11.7", "12.5"])
+def test_minimize_near_critical_exits_2(a, capsys):
+    code = run(["minimize", "--potential", "zero", "--a", a, "--L", "8", "--n", "32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "critical coupling" in err and len(err.strip().splitlines()) == 1
+
+
 def test_sweep_outputs_and_determinism(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(FAST_CFG.format(out=tmp_path / "rep"))

@@ -121,6 +121,14 @@ def test_check_v2_shift_equivariance(grid16):
     assert r1.conv_min_value == pytest.approx(r0.conv_min_value, rel=1e-9)
     dx_loc = (r1.conv_min_location[0] - r0.conv_min_location[0]) % spec.period
     assert min(dx_loc, spec.period - dx_loc) == pytest.approx(shift % spec.period, abs=0.05)
+    # a lattice period that divides the box hides a misplaced minimum; a
+    # single well pins the absolute location under the carrier's center
+    well = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    g = make_grid(16.0, 128)
+    for center in ((0.0, 0.0), (shift, 0.0)):
+        rep = check_v2(well, gaussian(g, center=center), eps=0.01, grid=g)
+        assert rep.conv_min_location == pytest.approx(center, abs=0.05)
+        assert rep.attained_interior
 
 
 def test_check_v2_constant_degenerate(grid_small):
