@@ -21,14 +21,20 @@ from .diagnostics import SweepReport, analyze_sweep, rescale_and_align
 from .energy import EnergyBreakdown, energy
 from .errors import (
     BoxTooSmall,
+    BracketNotFound,
     ConfigError,
     CriticalCouplingGuard,
+    DegenerateField,
     FileFormatError,
     GPError,
     InsufficientData,
     InvalidGrid,
     InvalidProfile,
     NonConvergence,
+    OddSampleCount,
+    ResolutionExceeded,
+    UnderResolved,
+    UnnormalizedInput,
 )
 from .grid import make_grid, normalize, read_gpf, write_gpf
 from .minimizer import MinimizerOptions, continuation_sweep, gaussian_init, minimize
@@ -44,6 +50,27 @@ from .spectrum import check_v1
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
+
+# the exit code of every error a subcommand may raise: bad input is a config
+# error, a computation that did not deliver is a numerical failure
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    OddSampleCount: EXIT_CONFIG,
+    InvalidGrid: EXIT_CONFIG,
+    FileFormatError: EXIT_CONFIG,
+    InvalidProfile: EXIT_CONFIG,
+    BoxTooSmall: EXIT_CONFIG,
+    UnnormalizedInput: EXIT_CONFIG,
+    DegenerateField: EXIT_CONFIG,
+    ResolutionExceeded: EXIT_CONFIG,
+    CriticalCouplingGuard: EXIT_CONFIG,
+    BracketNotFound: EXIT_NUMERICS,
+    NonConvergence: EXIT_NUMERICS,
+    UnderResolved: EXIT_NUMERICS,
+    InsufficientData: EXIT_NUMERICS,
+    OSError: EXIT_CONFIG,
+    ValueError: EXIT_CONFIG,
+}
 
 
 def _fmt(x) -> str:
@@ -158,11 +185,15 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _run_schedule(cfg: SweepConfig, manifest: _Manifest, profile):
-    """Shared sweep machinery: the continuation sweep over cfg's schedule."""
+def _run_schedule(cfg: SweepConfig, manifest: _Manifest, load_profile):
+    """Shared sweep machinery: the continuation sweep over cfg's schedule.
+
+    The potential is realized before load_profile() runs, so that a bad
+    config fails before any Townes solve.
+    """
     grid = make_grid(cfg.L, cfg.n)
     V = realize(cfg.potential, grid)
-    a_star = critical_coupling(profile)
+    a_star = critical_coupling(load_profile())
     manifest.data["grid"] = {"L": grid.L, "n": grid.n}
     manifest.data["a_star"] = a_star
     schedule = cfg.schedule(a_star)
@@ -189,7 +220,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("sweep", cfg.raw)
-    results = _run_schedule(cfg, manifest, _profile_cached())
+    results = _run_schedule(cfg, manifest, _profile_cached)
 
     rows = []
     for i, res in enumerate(results):
@@ -237,7 +268,7 @@ def cmd_blowup(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("blowup", cfg.raw)
-    results = _run_schedule(cfg, manifest, profile)
+    results = _run_schedule(cfg, manifest, lambda: profile)
 
     kwargs = {}
     if cfg.potential.kind == "power_well":
@@ -397,21 +428,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        FileFormatError,
-        InvalidProfile,
-        BoxTooSmall,
-        InvalidGrid,
-        CriticalCouplingGuard,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NonConvergence, InsufficientData) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+        label = "config error" if code == EXIT_CONFIG else "numerical failure"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import InsufficientData, UnderResolved
 from .grid import Field, inner, kinetic, l2_norm, mass, peak_location, resample_affine
@@ -152,12 +153,12 @@ def concentration_curve(u: Field, radii) -> ConcentrationCurve:
     """
     g = u.grid
     dens = u.values**2
-    dh = np.fft.rfft2(dens)
+    dh = fft.rfft2(dens)
     rr = g.radius()
     values = []
     for R in radii:
         ind = (rr <= R).astype(float)
-        conv = np.fft.irfft2(dh * np.fft.rfft2(ind), s=dens.shape) * g.weight
+        conv = fft.irfft2(dh * fft.rfft2(ind), s=dens.shape) * g.weight
         values.append(float(conv.max()))
     return ConcentrationCurve(radii=np.asarray(radii, float), values=np.array(values))
 

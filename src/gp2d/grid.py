@@ -149,9 +149,9 @@ def convolve_potential(V: Field, dens: Field) -> Field:
     """Periodic convolution (V * dens)(y) at the samples y = x_i, by DFT product."""
     if V.grid != dens.grid:
         raise ValueError("potential and density live on different grids")
-    vh = np.fft.rfft2(V.values)
-    dh = np.fft.rfft2(dens.values)
-    out = np.fft.irfft2(vh * dh, s=V.values.shape) * V.grid.weight
+    vh = fft.rfft2(V.values)
+    dh = fft.rfft2(dens.values)
+    out = fft.irfft2(vh * dh, s=V.values.shape) * V.grid.weight
     # both factors count their samples from -L, so the cyclic product lands
     # at x_i - L; half a period brings it back to x_i
     half = V.grid.n // 2

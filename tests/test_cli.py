@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from gp2d.cli import run
+import gp2d.cli as cli
+from gp2d.cli import EXIT_CODES, run
 from gp2d.energy import energy
+from gp2d.errors import GPError
 from gp2d.grid import Field, make_grid, normalize, read_gpf, write_gpf
 
 FAST_CFG = """\
@@ -29,6 +31,31 @@ def test_soliton_smoke(tmp_path, capsys):
     assert data["a_star"] == pytest.approx(11.7009, abs=1e-3)
     assert abs(data["mass"] - data["kinetic"]) / data["mass"] < 1e-6
     assert abs(data["mass"] - data["quartic"] / 2.0) / data["mass"] < 1e-6
+
+
+def test_soliton_json_byte_identical(tmp_path):
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    assert run(["soliton", "--out", str(first)]) == 0
+    assert run(["soliton", "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_every_gp_error_has_an_exit_code():
+    for cls in GPError.__subclasses__():
+        assert EXIT_CODES.get(cls) in (2, 3), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimize", "--potential", "zero", "--a", "5", "--L", "8", "--n", "33"],
+        ["check-v1", "--potential", "sinc", "--L", "8", "--n", "31"],
+    ],
+)
+def test_odd_sample_count_exits_2(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "even" in err and len(err.strip().splitlines()) == 1
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -118,6 +145,21 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     assert written == listed
     header = (out1 / "entries.csv").read_text().splitlines()[0]
     assert header == "a,E,eps,residual,iters,converged,resolved"
+
+
+def test_sweep_bad_potential_fails_before_townes(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sweep solved the Townes profile before its input")
+
+    monkeypatch.setattr(cli, "_PROFILE", None)
+    monkeypatch.setattr(cli, "solve_townes", no_solve)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        f"potential = file:{tmp_path / 'missing.gpf'}\nL = 8\nn = 32\n"
+        f"a_schedule = 1.0\nout_dir = {tmp_path / 'rep'}\n"
+    )
+    assert run(["sweep", "--config", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_csv_floats_round_trip(tmp_path):

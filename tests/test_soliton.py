@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import gp2d.soliton as soliton
 from gp2d.errors import BoxTooSmall, InvalidProfile
 from gp2d.grid import kinetic, make_grid, mass
 from gp2d.soliton import (
+    MESH_MIN,
+    bisect_amplitude,
     classify_amplitude,
     critical_coupling,
     lift_to_grid,
+    profile_from_amplitude,
     profile_from_dict,
     profile_to_dict,
     radial_moment,
@@ -29,6 +33,33 @@ def test_tol_validation():
         solve_townes(tol=1e-2)
     with pytest.raises(ValueError):
         solve_townes(tol=0.0)
+
+
+def test_mesh_size_validated_before_any_shot(monkeypatch):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("solve_townes integrated before validating mesh_size")
+
+    monkeypatch.setattr(soliton, "solve_ivp", no_shot)
+    for mesh_size in (0, 3, MESH_MIN - 1):
+        with pytest.raises(ValueError, match="mesh_size"):
+            solve_townes(mesh_size=mesh_size)
+
+
+def test_mesh_floor_meets_pohozaev_gate(profile):
+    coarse = profile_from_amplitude(profile.shoot_amplitude, mesh_size=MESH_MIN)
+    assert coarse.identities_ok()
+
+
+def test_bisection_returns_cross_side_endpoint():
+    tol = 1e-10
+    amp = bisect_amplitude(tol)
+    assert classify_amplitude(amp) == "cross"
+    assert classify_amplitude(amp - tol) == "turn"
+
+
+def test_a_star_matches_oracle_to_its_digits(profile):
+    # the oracle's 12 significant digits pin a* to about 4e-12
+    assert profile.mass == pytest.approx(A_STAR_ORACLE, rel=1e-10)
 
 
 def test_amplitude_and_mass(profile):
