@@ -21,7 +21,7 @@ def main():
     grid = make_grid(16.0, 256)
     spec = PotentialSpec(kind="sinc")
     V = realize(spec, grid)
-    ess = ess_inf_estimate(spec, grid)
+    ess = ess_inf_estimate(spec)
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
     results = continuation_sweep(
         V, [f * a_star for f in FRACTIONS], grid, opts, a_star=a_star

@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .config import SweepConfig, load_config
-from .diagnostics import SweepReport, analyze_sweep, rescale_and_align
-from .energy import EnergyBreakdown, energy
+from .diagnostics import analyze_sweep
+from .energy import energy
 from .errors import (
     BoxTooSmall,
     BracketNotFound,
@@ -26,7 +27,6 @@ from .errors import (
     CriticalCouplingGuard,
     DegenerateField,
     FileFormatError,
-    GPError,
     InsufficientData,
     InvalidGrid,
     InvalidProfile,
@@ -123,11 +123,11 @@ class _Manifest:
         _dump_json(self.data, path)
 
 
-def _profile_cached(tol: float = 1e-12):
+def _profile_cached():
     global _PROFILE
-    if _PROFILE is None or _PROFILE[0] != tol:
-        _PROFILE = (tol, solve_townes(tol=tol))
-    return _PROFILE[1]
+    if _PROFILE is None:
+        _PROFILE = solve_townes()
+    return _PROFILE
 
 
 _PROFILE = None
@@ -148,7 +148,7 @@ def cmd_energy(args) -> int:
     if u.grid != V.grid:
         raise ConfigError("field and potential grids differ")
     br = energy(u, V, args.a, check_mass=False)
-    sys.stdout.write(_dump_json(br.as_dict()))
+    sys.stdout.write(_dump_json(asdict(br)))
     return EXIT_OK
 
 
@@ -201,20 +201,6 @@ def _run_schedule(cfg: SweepConfig, manifest: _Manifest, load_profile):
     return continuation_sweep(V, schedule, grid, opts, a_star=a_star)
 
 
-def _box_check(cfg: SweepConfig, results, manifest: _Manifest):
-    """Re-run the loosest coupling at doubled half-width, record the E drift."""
-    big = make_grid(2.0 * cfg.L, 2 * cfg.n)
-    V2 = realize(cfg.potential, big)
-    opts = MinimizerOptions(tol_residual=cfg.tol, max_iters=cfg.max_iters)
-    res2 = minimize(V2, results[0].coupling, big, opts)
-    manifest.data["box_check"] = {
-        "a": results[0].coupling,
-        "E_base": results[0].E,
-        "E_doubled": res2.E,
-        "delta_E": res2.E - results[0].E,
-    }
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir)
@@ -241,8 +227,6 @@ def cmd_sweep(args) -> int:
     csv_path = out_dir / "entries.csv"
     _write_csv(csv_path, ("a", "E", "eps", "residual", "iters", "converged", "resolved"), rows)
     manifest.add_output(csv_path)
-    if cfg.box_check:
-        _box_check(cfg, results, manifest)
 
     failed = [r.coupling for r in results if not r.converged]
     if failed:
@@ -290,20 +274,11 @@ def cmd_blowup(args) -> int:
     _write_csv(csv_path, ("a", "E", "eps", "L2_dist", "H1_dist", "resolved"), rows)
     manifest.add_output(csv_path)
 
-    for i, res in enumerate(results):
-        entry = report.entries[i]
-        if not entry.resolved:
-            continue
-        try:
-            aligned, _, _ = rescale_and_align(res.u, profile)
-        except GPError:
-            continue
-        fpath = out_dir / f"aligned_{i:03d}.gpf"
-        write_gpf(fpath, aligned)
-        manifest.add_output(fpath)
-
-    if cfg.box_check:
-        _box_check(cfg, results, manifest)
+    for i, entry in enumerate(report.entries):
+        if entry.resolved:
+            fpath = out_dir / f"aligned_{i:03d}.gpf"
+            write_gpf(fpath, entry.aligned)
+            manifest.add_output(fpath)
 
     exit_code = EXIT_OK
     if report.fitted_exponent is None:
@@ -340,13 +315,14 @@ def cmd_blowup(args) -> int:
 
 def cmd_check_v1(args) -> int:
     spec, grid, V = _realized_potential(args.potential, args.L, args.n)
-    report = check_v1(V, grid, tol=args.tol, ess_inf_V=ess_inf_estimate(spec, grid))
-    sys.stdout.write(_dump_json(report.as_dict()))
+    report = check_v1(V, grid, ess_inf_estimate(spec), tol=args.tol)
+    sys.stdout.write(_dump_json(asdict(report)))
     return EXIT_OK
 
 
 def cmd_check_v2(args) -> int:
-    spec, grid, V = _realized_potential(args.potential, args.L, args.n)
+    spec = parse_potential(args.potential)
+    grid = make_grid(args.L, args.n)
     if args.field:
         u = normalize(read_gpf(args.field))
         if u.grid != grid:
@@ -354,7 +330,7 @@ def cmd_check_v2(args) -> int:
     else:
         u = gaussian_init(grid, width=args.width)
     report = check_v2(spec, u, args.eps, grid)
-    sys.stdout.write(_dump_json(report.as_dict()))
+    sys.stdout.write(_dump_json(asdict(report)))
     return EXIT_OK
 
 

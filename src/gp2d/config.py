@@ -15,7 +15,6 @@ KNOWN_KEYS = {
     "tol",
     "max_iters",
     "out_dir",
-    "box_check",
 }
 
 
@@ -28,7 +27,6 @@ class SweepConfig:
     tol: float = 3e-6
     max_iters: int = 20000
     out_dir: str = "report"
-    box_check: bool = False
     raw: dict = field(default_factory=dict)
 
     def schedule(self, a_star: float) -> list[float]:
@@ -80,7 +78,6 @@ def parse_config_text(text: str) -> SweepConfig:
             tol=float(kv.get("tol", 3e-6)),
             max_iters=int(kv.get("max_iters", 20000)),
             out_dir=kv.get("out_dir", "report"),
-            box_check=_parse_bool(kv.get("box_check", "off")),
             raw=dict(kv),
         )
     except ValueError as exc:
@@ -88,15 +85,6 @@ def parse_config_text(text: str) -> SweepConfig:
     if cfg.L <= 0 or cfg.n < 16 or cfg.n % 2:
         raise ConfigError(f"bad grid parameters L={cfg.L}, n={cfg.n}")
     return cfg
-
-
-def _parse_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("on", "true", "1", "yes"):
-        return True
-    if val in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"expected on/off, got {text!r}")
 
 
 def load_config(path) -> SweepConfig:

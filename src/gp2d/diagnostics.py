@@ -8,16 +8,17 @@ against the distance to criticality quantify the collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
 
+from .energy import eps_width
 from .errors import InsufficientData, UnderResolved
-from .grid import Field, inner, kinetic, l2_norm, mass, peak_location, resample_affine
+from .grid import Field, kinetic, l2_norm, peak_location, resample_affine
 from .soliton import RadialProfile, lift_to_grid, radial_moment
 
-RESOLVE_FACTOR = 4.0  # entries with eps below this many cells are excluded
+CLASSIFY_DELTA = 0.05  # mass tolerance of the trichotomy classifier
 
 
 @dataclass
@@ -30,6 +31,7 @@ class SweepEntry:
     h1_dist: float
     resolved: bool
     converged: bool = True
+    aligned: Field | None = None  # blow-up normal form; None when eps < 2 dx
 
 
 @dataclass
@@ -67,7 +69,7 @@ def rescale_and_align(u: Field, profile: RadialProfile):
     the lifted normalized Townes profile at the origin.
     """
     g = u.grid
-    eps = 1.0 / np.sqrt(kinetic(u))
+    eps = eps_width(u)
     if eps < 2.0 * g.dx:
         raise UnderResolved(f"width {eps:.4g} below 2 dx = {2 * g.dx:.4g}")
     center = peak_center(u)
@@ -88,17 +90,23 @@ def distance_to_townes(aligned: Field, profile: RadialProfile):
 def analyze_sweep(results, profile: RadialProfile, p=None, h0=None) -> SweepReport:
     """Build per-entry blow-up records from minimizer results and fit eps(a).
 
+    Each entry is aligned once (rescale_and_align) and carries the aligned
+    field.  An entry is resolved when its minimizer raised no resolution
+    warning (eps of at least energy.MIN_WIDTH_CELLS cells); only resolved
+    entries enter the fit.  Entries narrower than 2 cells are not aligned
+    and get NaN distances.
+
     p and h0, when given (trapping-well comparison), add the predicted
     exponent 1/(p+2) and prefactor to the report.
     """
-    a_star = profile.mass
     entries = []
     for res in results:
-        resolved = res.eps >= RESOLVE_FACTOR * res.u.grid.dx
+        resolved = not res.resolution_warning
         try:
             aligned, eps, center = rescale_and_align(res.u, profile)
             l2, h1 = distance_to_townes(aligned, profile)
         except UnderResolved:
+            aligned = None
             eps = res.eps
             center = peak_center(res.u)
             l2 = h1 = float("nan")
@@ -113,6 +121,7 @@ def analyze_sweep(results, profile: RadialProfile, p=None, h0=None) -> SweepRepo
                 h1_dist=h1,
                 resolved=resolved,
                 converged=res.converged,
+                aligned=aligned,
             )
         )
     report = SweepReport(entries=entries)
@@ -163,46 +172,43 @@ def concentration_curve(u: Field, radii) -> ConcentrationCurve:
     return ConcentrationCurve(radii=np.asarray(radii, float), values=np.array(values))
 
 
-def classify_sequence(curves, splits=None, delta: float = 0.05) -> Classification:
+def classify_sequence(curves) -> Classification:
     """Heuristic trichotomy classifier over a sequence of concentration curves.
+
+    With delta = CLASSIFY_DELTA:
 
     compact   : mass stays above 1-delta at a fixed radius after recentering
     vanishing : mass at that radius trends to ~0
-    dichotomy : the final curves plateau at lambda strictly inside (0, 1)
+    dichotomy : the last two curves plateau at the same lambda strictly
+                inside (delta, 1-delta)
 
     Advisory only; never gates other computations.
     """
     if len(curves) < 3:
         raise InsufficientData("need at least 3 sequence elements")
-    if splits is not None and len(splits) >= 2:
-        tail = np.asarray(splits, float)[-2:]
-        lam = float(np.mean(np.minimum(tail, 1.0 - tail)))
-        if delta < lam < 1.0 - delta and abs(tail[1] - tail[0]) < 0.05:
-            return Classification("dichotomy", lam)
-
     v_first = np.asarray(curves[0].values)
     v_last = np.asarray(curves[-1].values)
-    hit = np.nonzero(v_first >= 1.0 - delta)[0]
+    hit = np.nonzero(v_first >= 1.0 - CLASSIFY_DELTA)[0]
     i_star = int(hit[0]) if hit.size else len(v_first) - 1
     trend = np.array([np.asarray(c.values)[i_star] for c in curves])
 
-    if trend[-1] >= 1.0 - delta and trend[-1] >= trend[0] - delta:
+    if trend[-1] >= 1.0 - CLASSIFY_DELTA and trend[-1] >= trend[0] - CLASSIFY_DELTA:
         return Classification("compact")
-    if np.all(np.diff(trend) < 1e-9) and trend[-1] <= 2.0 * delta:
+    if np.all(np.diff(trend) < 1e-9) and trend[-1] <= 2.0 * CLASSIFY_DELTA:
         return Classification("vanishing")
 
-    plateau = _plateau_value(v_last, delta)
+    plateau = _plateau_value(v_last)
     if plateau is not None:
-        prev = _plateau_value(np.asarray(curves[-2].values), delta)
+        prev = _plateau_value(np.asarray(curves[-2].values))
         if prev is not None and abs(prev - plateau) < 0.05:
             return Classification("dichotomy", float(min(plateau, 1.0 - plateau)))
     return Classification("inconclusive")
 
 
-def _plateau_value(values: np.ndarray, delta: float):
+def _plateau_value(values: np.ndarray):
     """Value of the longest flat stretch strictly inside (delta, 1-delta)."""
     flat = np.abs(np.diff(values)) < 5e-3
-    inside = (values[:-1] > delta) & (values[:-1] < 1.0 - delta)
+    inside = (values[:-1] > CLASSIFY_DELTA) & (values[:-1] < 1.0 - CLASSIFY_DELTA)
     ok = flat & inside
     best_len, best_val = 0, None
     i = 0

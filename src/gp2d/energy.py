@@ -24,6 +24,8 @@ from .grid import Field, Grid2D, kinetic, mass, normalize, resample_affine
 from .soliton import RadialProfile
 
 MASS_TOL = 1e-8
+MIN_WIDTH_CELLS = 4.0  # a width eps below this many cells dx is unresolved
+BUMP_INNER, BUMP_OUTER = 1.0, 2.0  # the trial state's cut-off: 1 inside, 0 outside
 
 
 @dataclass(frozen=True)
@@ -43,15 +45,6 @@ class EnergyBreakdown:
             coupling=a,
             total=kin + pot - 0.5 * a * quart,
         )
-
-    def as_dict(self):
-        return {
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "quartic": self.quartic,
-            "coupling": self.coupling,
-            "total": self.total,
-        }
 
 
 class Functional:
@@ -119,16 +112,20 @@ def eps_width(u: Field) -> float:
     return 1.0 / np.sqrt(kinetic(u))
 
 
-def dilate(u: Field, ell: float, min_width_dx: float = 4.0) -> Field:
-    """Spectrally resampled dilation u_ell(x) = ell * u(ell x), renormalized."""
+def dilate(u: Field, ell: float) -> Field:
+    """Spectrally resampled dilation u_ell(x) = ell * u(ell x), renormalized.
+
+    Raises ResolutionExceeded when the dilated width eps_width(u)/ell would
+    fall below MIN_WIDTH_CELLS cells.
+    """
     if ell < 1.0:
         raise ValueError(f"dilation factor must be >= 1, got {ell}")
     g = u.grid
     predicted = eps_width(u) / ell
-    if predicted < min_width_dx * g.dx * (1.0 - 1e-9):
+    if predicted < MIN_WIDTH_CELLS * g.dx * (1.0 - 1e-9):
         raise ResolutionExceeded(
-            f"dilated width {predicted:.4g} below {min_width_dx} dx = "
-            f"{min_width_dx * g.dx:.4g}"
+            f"dilated width {predicted:.4g} below {MIN_WIDTH_CELLS} dx = "
+            f"{MIN_WIDTH_CELLS * g.dx:.4g}"
         )
     vals = ell * resample_affine(u, ell)
     # keep only samples whose preimage ell*x stays inside the fundamental box;
@@ -149,9 +146,9 @@ def dilation_scan(u: Field, V: Field, a: float, scales) -> list[EnergyBreakdown]
     return out
 
 
-def smooth_bump(r: np.ndarray, inner: float = 1.0, outer: float = 2.0) -> np.ndarray:
-    """Quintic smoothstep bump: 1 on r <= inner, 0 on r >= outer."""
-    t = np.clip((outer - r) / (outer - inner), 0.0, 1.0)
+def smooth_bump(r: np.ndarray) -> np.ndarray:
+    """Quintic smoothstep bump: 1 on r <= BUMP_INNER, 0 on r >= BUMP_OUTER."""
+    t = np.clip((BUMP_OUTER - r) / (BUMP_OUTER - BUMP_INNER), 0.0, 1.0)
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
@@ -170,12 +167,11 @@ def trial_state_energy(
     with A the unit-mass normalizer.  Upper-bounds the ground energy."""
     if ell < 1.0:
         raise ValueError(f"concentration scale must be >= 1, got {ell}")
-    if 2.0 > grid.L:
+    if BUMP_OUTER > grid.L:
         raise ResolutionExceeded("cut-off support does not fit the box")
-    if 1.0 / ell < 4.0 * grid.dx / np.sqrt(profile.kinetic / profile.mass + 1.0):
-        # crude guard: the concentrated core must stay resolvable
-        if 1.0 / ell < 2.0 * grid.dx:
-            raise ResolutionExceeded(f"scale {ell} under-resolved on dx={grid.dx}")
+    # crude guard: the concentrated core must stay resolvable
+    if 1.0 / ell < 2.0 * grid.dx:
+        raise ResolutionExceeded(f"scale {ell} under-resolved on dx={grid.dx}")
     rr = grid.radius(x0)
     spl = profile.spline()
     r_mesh_end = float(profile.r[-1])

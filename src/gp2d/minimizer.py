@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .energy import Functional, dilate, energy_gradient
+from .energy import MIN_WIDTH_CELLS, Functional, dilate, energy_gradient
 from .errors import CriticalCouplingGuard, ResolutionExceeded
 from .grid import Field, Grid2D, inner, l2_norm, normalize, shift_to_index
 
@@ -57,6 +57,8 @@ class MinimizerResult:
 
 def gaussian_init(grid: Grid2D, center=(0.0, 0.0), width: float = 1.0) -> Field:
     """Unit-mass Gaussian of the given width centered at ``center``."""
+    if not (np.isfinite(width) and width > 0):
+        raise ValueError(f"width must be finite and positive, got {width}")
     rr = grid.radius(center)
     return normalize(Field(grid, np.exp(-(rr**2) / (2.0 * width**2))))
 
@@ -183,7 +185,7 @@ def minimize(
         converged=converged,
         eps=float(eps),
         coupling=a,
-        resolution_warning=bool(eps < 4.0 * grid.dx),
+        resolution_warning=bool(eps < MIN_WIDTH_CELLS * grid.dx),
         energy_trace=trace,
     )
 

@@ -129,7 +129,7 @@ def sinc_min() -> float:
     return float(np.sin(r_star) / r_star)
 
 
-def ess_inf_estimate(spec_or_field, grid: Grid2D | None = None) -> float:
+def ess_inf_estimate(spec_or_field) -> float:
     """Essential infimum: analytic when the spec permits, grid-based otherwise.
 
     Grid-based estimates subtract a modulus-of-continuity allowance of half a
@@ -167,17 +167,6 @@ class V2Report:
     condition_met: bool
     degenerate_flat: bool
 
-    def as_dict(self):
-        return {
-            "conv_min_value": self.conv_min_value,
-            "conv_min_location": list(self.conv_min_location),
-            "attained_interior": self.attained_interior,
-            "margin": self.margin,
-            "eps": self.eps,
-            "condition_met": self.condition_met,
-            "degenerate_flat": self.degenerate_flat,
-        }
-
 
 def _embed_doubled(u: Field, big: Grid2D) -> Field:
     """Place u's samples in a box of doubled half-width (same spacing)."""
@@ -188,18 +177,21 @@ def _embed_doubled(u: Field, big: Grid2D) -> Field:
     return Field(big, vals)
 
 
-def check_v2(
-    spec: PotentialSpec,
-    u: Field,
-    eps: float,
-    grid: Grid2D,
-    doubling_check: bool = True,
-) -> V2Report:
+def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Report:
     """Locate the minimum of V * |u|^2 and report the attainment diagnostics.
+
+    The minimum counts as attained in the interior only if it lies more than
+    two cells inside the box (anywhere, for a periodic lattice) and, for a
+    spec potential, the minimum of the same density convolved on a box of
+    doubled half-width agrees with it to 1e-3.  File potentials exist only
+    on their own grid and skip that doubling check.  A non-finite eps or a
+    density without unit mass raises ValueError.
 
     This evaluates the attainment condition for the specific density |u|^2;
     it reports, it does not prove the universally quantified statement.
     """
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if abs(mass(u) - 1.0) > 1e-6:
         raise ValueError("attainment check requires a unit-mass density")
     V = realize(spec, grid)
@@ -215,12 +207,12 @@ def check_v2(
         or spec.kind == "lattice"  # periodic: every point is interior on the torus
     )
     stable = True
-    if doubling_check and spec.kind != "file":
+    if spec.kind != "file":
         big = make_grid(2.0 * grid.L, 2 * grid.n)
         conv2 = convolve_potential(realize(spec, big), _embed_doubled(dens, big))
         stable = abs(float(np.min(conv2.values)) - vmin) < 1e-3 * max(1.0, abs(vmin))
 
-    ess = ess_inf_estimate(spec if spec.kind != "file" else V, grid)
+    ess = ess_inf_estimate(spec if spec.kind != "file" else V)
     margin = vmin - (ess + eps)
     return V2Report(
         conv_min_value=vmin,

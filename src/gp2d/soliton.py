@@ -153,14 +153,26 @@ def bisect_amplitude(tol: float) -> float:
     return hi
 
 
+def _check_mesh_size(mesh_size: int) -> None:
+    """Reject fewer than MESH_MIN = 500 body samples with ValueError.
+
+    The Simpson moments err like mesh_size^-4, and at 400 samples they
+    already use half of the 1e-6 Pohozaev gate.
+    """
+    if mesh_size < MESH_MIN:
+        raise ValueError(f"mesh_size must be at least {MESH_MIN}, got {mesh_size}")
+
+
 def profile_from_amplitude(
     amp: float, mesh_size: int = 4000, tol: float = 1e-12
 ) -> RadialProfile:
     """Integrate the profile at a known amplitude and attach the analytic tail.
 
     Reuse this with a fixed amplitude to refine the stored mesh without
-    repeating the bisection.
+    repeating the bisection.  mesh_size below MESH_MIN raises ValueError
+    before the integration.
     """
+    _check_mesh_size(mesh_size)
 
     def event_switch(r, y):
         return y[0] - Q_SWITCH
@@ -206,14 +218,12 @@ def profile_from_amplitude(
 def solve_townes(tol: float = 1e-12, mesh_size: int = 4000) -> RadialProfile:
     """Bisect on the shooting amplitude until the bracket width is below tol.
 
-    mesh_size, the number of body samples, must be at least MESH_MIN = 500:
-    the Simpson moments err like mesh_size^-4, and at 400 samples they
-    already use half of the 1e-6 Pohozaev gate.
+    Both arguments are checked before the first shot; mesh_size must be at
+    least MESH_MIN (see _check_mesh_size).
     """
     if not (1e-14 <= tol <= 1e-4):
         raise ValueError(f"tol must lie in [1e-14, 1e-4], got {tol}")
-    if mesh_size < MESH_MIN:
-        raise ValueError(f"mesh_size must be at least {MESH_MIN}, got {mesh_size}")
+    _check_mesh_size(mesh_size)
     return profile_from_amplitude(bisect_amplitude(tol), mesh_size, tol)
 
 

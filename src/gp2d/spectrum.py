@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonConvergence
 from .grid import Field, Grid2D
 from .minimizer import MinimizerOptions, minimize
+
+GROUND_MAX_ITERS = 50000  # iteration budget of the a=0 flow
 
 
 @dataclass(frozen=True)
@@ -26,24 +26,14 @@ class SpectrumReport:
     passes_v1: bool
     tol: float
 
-    def as_dict(self):
-        return {
-            "lambda0": self.lambda0,
-            "residual": self.residual,
-            "ess_inf_V": self.ess_inf_V,
-            "v1_margin": self.v1_margin,
-            "passes_v1": self.passes_v1,
-            "tol": self.tol,
-        }
 
-
-def ground_energy(V: Field, grid: Grid2D, tol: float = 1e-8, max_iters: int = 50000):
+def ground_energy(V: Field, grid: Grid2D, tol: float = 1e-8):
     """Lowest eigenpair of -Lap + V by the a=0 gradient flow.
 
     Returns (lambda0, eigvec, residual) with residual the L2 norm of
     (-Lap + V - lambda0) applied to the eigvec.
     """
-    opts = MinimizerOptions(tol_residual=tol, max_iters=max_iters)
+    opts = MinimizerOptions(tol_residual=tol, max_iters=GROUND_MAX_ITERS)
     res = minimize(V, 0.0, grid, opts)
     if not res.converged and res.residual > 100.0 * tol:
         raise NonConvergence(
@@ -53,20 +43,14 @@ def ground_energy(V: Field, grid: Grid2D, tol: float = 1e-8, max_iters: int = 50
     return res.mu, res.u, res.residual
 
 
-def check_v1(
-    V: Field,
-    grid: Grid2D,
-    tol: float = 1e-6,
-    ess_inf_V: float | None = None,
-) -> SpectrumReport:
+def check_v1(V: Field, grid: Grid2D, ess_inf_V: float, tol: float = 1e-6) -> SpectrumReport:
     """Spectral-gap report: passes iff lambda0 - ess inf V > tol.
 
-    ess_inf_V, when known analytically, should be passed in; otherwise the
-    grid minimum is used (an upper bound on the essential infimum).
+    ess_inf_V is the essential infimum of V, e.g. from
+    potentials.ess_inf_estimate; the grid minimum of V would only bound it
+    from above.
     """
     lam, _, residual = ground_energy(V, grid, tol=min(tol, 1e-8))
-    if ess_inf_V is None:
-        ess_inf_V = float(np.min(V.values))
     margin = lam - ess_inf_V
     return SpectrumReport(
         lambda0=lam,

@@ -103,7 +103,7 @@ def test_criterion_4_profile_convergence(harmonic_sweep):
 def test_criterion_5_energy_limit(profile, a_star, grid16):
     spec = PotentialSpec(kind="sinc")
     V = realize(spec, grid16)
-    ess = ess_inf_estimate(spec, grid16)
+    ess = ess_inf_estimate(spec)
     schedule = [f * a_star for f in (0.9, 0.95, 0.975, 0.9875)]
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
     results = continuation_sweep(V, schedule, grid16, opts, a_star=a_star)
@@ -127,7 +127,7 @@ def test_criterion_6_supercritical_instability(profile, a_star, grid512):
     V = Field(grid512, np.roll(V.values, (i0 - iy, i0 - ix), axis=(0, 1)))
     u = lift_to_grid(profile, grid512)
     totals = [b.total for b in dilation_scan(u, V, 1.1 * a_star, (1.0, 2.0, 4.0))]
-    ess = ess_inf_estimate(spec, grid512)
+    ess = ess_inf_estimate(spec)
     ok = totals[0] > totals[1] > totals[2] and totals[2] < ess - 1.0
     report(6, ok, f"scan={np.round(totals, 3).tolist()}, ess inf-1={ess - 1.0:.3f}")
 
@@ -186,8 +186,8 @@ def test_criterion_9_condition_checkers(grid16):
     u0 = normalize(Field(grid16, np.exp(-(rr0**2) / 2.0)))
     rr1 = grid16.radius((2.0, 0.0))
     u1 = normalize(Field(grid16, np.exp(-(rr1**2) / 2.0)))
-    r0 = check_v2(lat, u0, eps=0.01, grid=grid16, doubling_check=False)
-    r1 = check_v2(lat, u1, eps=0.01, grid=grid16, doubling_check=False)
+    r0 = check_v2(lat, u0, eps=0.01, grid=grid16)
+    r1 = check_v2(lat, u1, eps=0.01, grid=grid16)
     shift = (r1.conv_min_location[0] - r0.conv_min_location[0]) % lat.period
     ok_c = (
         r0.attained_interior

@@ -7,7 +7,8 @@ import gp2d.cli as cli
 from gp2d.cli import EXIT_CODES, run
 from gp2d.energy import energy
 from gp2d.errors import GPError
-from gp2d.grid import Field, make_grid, normalize, read_gpf, write_gpf
+from gp2d.grid import Field, l2_norm, make_grid, normalize, read_gpf, write_gpf
+from gp2d.soliton import lift_to_grid, profile_from_dict
 
 FAST_CFG = """\
 potential = sinc
@@ -191,6 +192,44 @@ def test_blowup_insufficient_exits_3(tmp_path):
     assert manifest["status"] == "InsufficientData"
 
 
+def test_blowup_writes_fit_and_aligned_entries(tmp_path):
+    prof = tmp_path / "p.json"
+    assert run(["soliton", "--tol", "1e-8", "--out", str(prof)]) == 0
+    cfg = tmp_path / "bu.cfg"
+    cfg.write_text(
+        "potential = power_well h0=0.0625 p=2 rcut=8\nL = 12\nn = 96\n"
+        "a_schedule = geom:0.3,0.7,3\ntol = 1e-6\n"
+    )
+    out = tmp_path / "bu"
+
+    def blowup():
+        assert run(["blowup", "--config", str(cfg), "--profile", str(prof), "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("run_manifest.json"))
+        del manifest["wall_time_s"]
+        return files, manifest
+
+    first = blowup()
+    files, manifest = first
+    assert sorted(files) == [
+        "aligned_000.gpf", "aligned_001.gpf", "aligned_002.gpf", "entries.csv", "fit.json"
+    ]
+    assert manifest["status"] == "ok"
+    for path in out.iterdir():
+        path.unlink()
+    assert blowup() == first
+
+    # each aligned dump is the field whose distance to Townes the CSV reports
+    q0 = lift_to_grid(profile_from_dict(json.loads(prof.read_text())), make_grid(12.0, 96))
+    rows = (out / "entries.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        aligned = read_gpf(out / f"aligned_{i:03d}.gpf")
+        assert cells[-1] == "true"
+        assert l2_norm(Field(q0.grid, aligned.values - q0.values)) == float(cells[3])
+
+
 def test_blowup_missing_profile_exits_2(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("potential = zero\nL = 12\nn = 32\na_schedule = 1.0\n")
@@ -202,6 +241,16 @@ def test_check_v1_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passes_v1"] is True
     assert report["ess_inf_V"] == pytest.approx(-0.2172336, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [["--width", "0"], ["--width", "-1"], ["--eps", "nan"]])
+def test_check_v2_bad_numbers_exit_2(bad, capsys):
+    argv = ["check-v2", "--potential", "sinc", "--L", "8", "--n", "32", *bad]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_check_v2_json(capsys):

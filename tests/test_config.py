@@ -12,7 +12,6 @@ a_schedule = geom:0.05,0.65,7
 tol = 3e-6
 max_iters = 40000
 out_dir = report
-box_check = on
 """
 
 
@@ -21,7 +20,6 @@ def test_parse_good():
     assert cfg.potential.kind == "power_well"
     assert cfg.L == 16.0 and cfg.n == 512
     assert cfg.tol == 3e-6
-    assert cfg.box_check is True
 
 
 def test_geometric_schedule():

@@ -114,10 +114,8 @@ def test_check_v2_lattice_interior(grid16):
 def test_check_v2_shift_equivariance(grid16):
     spec = PotentialSpec(kind="lattice", amplitude=0.5, period=8.0)
     shift = 2.0
-    r0 = check_v2(spec, gaussian(grid16), eps=0.01, grid=grid16, doubling_check=False)
-    r1 = check_v2(
-        spec, gaussian(grid16, center=(shift, 0.0)), eps=0.01, grid=grid16, doubling_check=False
-    )
+    r0 = check_v2(spec, gaussian(grid16), eps=0.01, grid=grid16)
+    r1 = check_v2(spec, gaussian(grid16, center=(shift, 0.0)), eps=0.01, grid=grid16)
     assert r1.conv_min_value == pytest.approx(r0.conv_min_value, rel=1e-9)
     dx_loc = (r1.conv_min_location[0] - r0.conv_min_location[0]) % spec.period
     assert min(dx_loc, spec.period - dx_loc) == pytest.approx(shift % spec.period, abs=0.05)

@@ -37,12 +37,15 @@ def test_tol_validation():
 
 def test_mesh_size_validated_before_any_shot(monkeypatch):
     def no_shot(*args, **kwargs):
-        raise AssertionError("solve_townes integrated before validating mesh_size")
+        raise AssertionError("integrated before validating mesh_size")
 
     monkeypatch.setattr(soliton, "solve_ivp", no_shot)
     for mesh_size in (0, 3, MESH_MIN - 1):
         with pytest.raises(ValueError, match="mesh_size"):
             solve_townes(mesh_size=mesh_size)
+    for mesh_size in (0, 3, 300):
+        with pytest.raises(ValueError, match="mesh_size"):
+            profile_from_amplitude(AMPLITUDE_ORACLE, mesh_size=mesh_size)
 
 
 def test_mesh_floor_meets_pohozaev_gate(profile):

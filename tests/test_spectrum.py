@@ -42,7 +42,7 @@ def test_truncated_harmonic_against_dense_oracle(grid16):
 def test_check_v1_passes_for_well(grid16):
     spec = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
     V = realize(spec, grid16)
-    report = check_v1(V, grid16, ess_inf_V=ess_inf_estimate(spec, grid16))
+    report = check_v1(V, grid16, ess_inf_V=ess_inf_estimate(spec))
     assert report.passes_v1
     assert report.v1_margin == pytest.approx(2.0, abs=1e-3)
 
