@@ -9,7 +9,7 @@ import sys
 
 from gp2d.grid import make_grid
 from gp2d.minimizer import MinimizerOptions, continuation_sweep
-from gp2d.potentials import PotentialSpec, ess_inf_estimate, realize
+from gp2d.potentials import Sinc, ess_inf_estimate, realize
 from gp2d.soliton import critical_coupling, solve_townes
 
 FRACTIONS = (0.9, 0.95, 0.975, 0.9875)
@@ -19,7 +19,7 @@ def main():
     profile = solve_townes(tol=1e-12)
     a_star = critical_coupling(profile)
     grid = make_grid(16.0, 256)
-    spec = PotentialSpec(kind="sinc")
+    spec = Sinc()
     V = realize(spec, grid)
     ess = ess_inf_estimate(spec)
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)

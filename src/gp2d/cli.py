@@ -20,22 +20,7 @@ from . import __version__
 from .config import SweepConfig, load_config
 from .diagnostics import analyze_sweep
 from .energy import energy
-from .errors import (
-    BoxTooSmall,
-    BracketNotFound,
-    ConfigError,
-    CriticalCouplingGuard,
-    DegenerateField,
-    FileFormatError,
-    InsufficientData,
-    InvalidGrid,
-    InvalidProfile,
-    NonConvergence,
-    OddSampleCount,
-    ResolutionExceeded,
-    UnderResolved,
-    UnnormalizedInput,
-)
+from .errors import ConfigError, GPError, InputError, InvalidProfile, NumericalFailure
 from .grid import make_grid, normalize, read_gpf, write_gpf
 from .minimizer import MinimizerOptions, continuation_sweep, gaussian_init, minimize
 from .potentials import check_v2, ess_inf_estimate, parse_potential, realize
@@ -48,29 +33,8 @@ from .soliton import (
 from .spectrum import check_v1
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICS = 3
-
-# the exit code of every error a subcommand may raise: bad input is a config
-# error, a computation that did not deliver is a numerical failure
-EXIT_CODES = {
-    ConfigError: EXIT_CONFIG,
-    OddSampleCount: EXIT_CONFIG,
-    InvalidGrid: EXIT_CONFIG,
-    FileFormatError: EXIT_CONFIG,
-    InvalidProfile: EXIT_CONFIG,
-    BoxTooSmall: EXIT_CONFIG,
-    UnnormalizedInput: EXIT_CONFIG,
-    DegenerateField: EXIT_CONFIG,
-    ResolutionExceeded: EXIT_CONFIG,
-    CriticalCouplingGuard: EXIT_CONFIG,
-    BracketNotFound: EXIT_NUMERICS,
-    NonConvergence: EXIT_NUMERICS,
-    UnderResolved: EXIT_NUMERICS,
-    InsufficientData: EXIT_NUMERICS,
-    OSError: EXIT_CONFIG,
-    ValueError: EXIT_CONFIG,
-}
+EXIT_CONFIG = InputError.exit_code
+EXIT_NUMERICS = NumericalFailure.exit_code
 
 
 def _fmt(x) -> str:
@@ -191,14 +155,12 @@ def _run_schedule(cfg: SweepConfig, manifest: _Manifest, load_profile):
     The potential is realized before load_profile() runs, so that a bad
     config fails before any Townes solve.
     """
-    grid = make_grid(cfg.L, cfg.n)
-    V = realize(cfg.potential, grid)
+    V = realize(cfg.potential, cfg.grid)
     a_star = critical_coupling(load_profile())
-    manifest.data["grid"] = {"L": grid.L, "n": grid.n}
+    manifest.data["grid"] = {"L": cfg.grid.L, "n": cfg.grid.n}
     manifest.data["a_star"] = a_star
     schedule = cfg.schedule(a_star)
-    opts = MinimizerOptions(tol_residual=cfg.tol, max_iters=cfg.max_iters)
-    return continuation_sweep(V, schedule, grid, opts, a_star=a_star)
+    return continuation_sweep(V, schedule, cfg.grid, cfg.opts, a_star=a_star)
 
 
 def cmd_sweep(args) -> int:
@@ -254,10 +216,7 @@ def cmd_blowup(args) -> int:
     manifest = _Manifest("blowup", cfg.raw)
     results = _run_schedule(cfg, manifest, lambda: profile)
 
-    kwargs = {}
-    if cfg.potential.kind == "power_well":
-        kwargs = {"p": cfg.potential.p, "h0": cfg.potential.h0}
-    report = analyze_sweep(results, profile, **kwargs)
+    report = analyze_sweep(results, profile, cfg.potential.trap)
 
     rows = [
         (
@@ -404,8 +363,10 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except tuple(EXIT_CODES) as exc:
-        code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+    except (GPError, OSError, ValueError) as exc:
+        # a package error carries its exit code; a path that cannot be used or
+        # a value out of range from outside the package is bad input
+        code = exc.exit_code if isinstance(exc, GPError) else EXIT_CONFIG
         label = "config error" if code == EXIT_CONFIG else "numerical failure"
         print(f"{label}: {exc}", file=sys.stderr)
         return code

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidGrid, OddSampleCount
+from .grid import Grid2D, make_grid
+from .minimizer import MinimizerOptions
 from .potentials import PotentialSpec, parse_potential
 
 KNOWN_KEYS = {
@@ -21,11 +23,9 @@ KNOWN_KEYS = {
 @dataclass
 class SweepConfig:
     potential: PotentialSpec
-    L: float
-    n: int
+    grid: Grid2D
     a_schedule_raw: str
-    tol: float = 3e-6
-    max_iters: int = 20000
+    opts: MinimizerOptions
     out_dir: str = "report"
     raw: dict = field(default_factory=dict)
 
@@ -72,18 +72,14 @@ def parse_config_text(text: str) -> SweepConfig:
     try:
         cfg = SweepConfig(
             potential=parse_potential(kv["potential"]),
-            L=float(kv["L"]),
-            n=int(kv["n"]),
+            grid=make_grid(float(kv["L"]), int(kv["n"])),
             a_schedule_raw=kv["a_schedule"],
-            tol=float(kv.get("tol", 3e-6)),
-            max_iters=int(kv.get("max_iters", 20000)),
+            opts=MinimizerOptions(float(kv.get("tol", 3e-6)), int(kv.get("max_iters", 20000))),
             out_dir=kv.get("out_dir", "report"),
             raw=dict(kv),
         )
-    except ValueError as exc:
+    except (ValueError, InvalidGrid, OddSampleCount) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.L <= 0 or cfg.n < 16 or cfg.n % 2:
-        raise ConfigError(f"bad grid parameters L={cfg.L}, n={cfg.n}")
     return cfg
 
 

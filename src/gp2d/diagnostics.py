@@ -87,7 +87,7 @@ def distance_to_townes(aligned: Field, profile: RadialProfile):
     return l2, h1
 
 
-def analyze_sweep(results, profile: RadialProfile, p=None, h0=None) -> SweepReport:
+def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     """Build per-entry blow-up records from minimizer results and fit eps(a).
 
     Each entry is aligned once (rescale_and_align) and carries the aligned
@@ -96,8 +96,8 @@ def analyze_sweep(results, profile: RadialProfile, p=None, h0=None) -> SweepRepo
     entries enter the fit.  Entries narrower than 2 cells are not aligned
     and get NaN distances.
 
-    p and h0, when given (trapping-well comparison), add the predicted
-    exponent 1/(p+2) and prefactor to the report.
+    trap, the potential's trap law (p, h0) when it has one (PotentialSpec.trap),
+    adds the predicted exponent 1/(p+2) and prefactor to the report.
     """
     entries = []
     for res in results:
@@ -132,7 +132,8 @@ def analyze_sweep(results, profile: RadialProfile, p=None, h0=None) -> SweepRepo
         report.fit_window = window
     except InsufficientData:
         pass
-    if p is not None and h0 is not None:
+    if trap is not None:
+        p, h0 = trap
         report.predicted_exponent = 1.0 / (p + 2.0)
         moment = radial_moment(profile, p)
         report.predicted_prefactor = (0.5 * p * h0 * moment) ** (-1.0 / (p + 2.0))

@@ -5,57 +5,69 @@ class GPError(Exception):
     """Base class for all package errors."""
 
 
-class OddSampleCount(GPError):
+class InputError(GPError):
+    """An input the program cannot work with; gp exits with exit_code."""
+
+    exit_code = 2
+
+
+class NumericalFailure(GPError):
+    """A computation that did not deliver; gp exits with exit_code."""
+
+    exit_code = 3
+
+
+class OddSampleCount(InputError):
     """Grid sample count must be even."""
 
 
-class InvalidGrid(GPError):
-    """Grid parameters out of range (L <= 0 or n < 16)."""
+class InvalidGrid(InputError):
+    """Grid parameters out of range (L not finite and positive, or n < 16)."""
 
 
-class FileFormatError(GPError):
+class FileFormatError(InputError):
     """Malformed GPF1 file or mismatched grid."""
 
 
-class BracketNotFound(GPError):
+class BracketNotFound(NumericalFailure):
     """Shooting bracket does not straddle the decaying solution."""
 
 
-class NonConvergence(GPError):
+class NonConvergence(NumericalFailure):
     """Iteration budget exhausted without meeting the tolerance."""
 
 
-class InvalidProfile(GPError):
+class InvalidProfile(InputError):
     """Radial profile violates the Pohozaev identities."""
 
 
-class BoxTooSmall(GPError):
+class BoxTooSmall(InputError):
     """Radial profile does not fit inside the periodic box."""
 
 
-class UnnormalizedInput(GPError):
+class UnnormalizedInput(InputError):
     """Field expected to have unit mass."""
 
 
-class DegenerateField(GPError):
+class DegenerateField(InputError):
     """Field with vanishing quartic integral."""
 
 
-class ResolutionExceeded(GPError):
+class ResolutionExceeded(InputError):
     """Requested dilation is not resolvable on this grid."""
 
 
-class CriticalCouplingGuard(GPError):
+class CriticalCouplingGuard(InputError):
     """Coupling too close to the critical value for a finite grid."""
 
 
-class UnderResolved(GPError):
+class UnderResolved(NumericalFailure):
     """Field too narrow to rescale reliably."""
 
 
-class InsufficientData(GPError):
+class InsufficientData(NumericalFailure):
     """Not enough resolved sweep entries for a fit."""
 
 
-class ConfigError(GPError):
+class ConfigError(InputError):
     """Bad configuration file or CLI arguments."""

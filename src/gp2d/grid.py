@@ -28,8 +28,8 @@ class Grid2D:
     dx: float = field(init=False)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise InvalidGrid(f"half-width must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise InvalidGrid(f"half-width must be finite and positive, got {self.L}")
         if self.n % 2 != 0:
             raise OddSampleCount(f"sample count must be even, got {self.n}")
         if self.n < 16:

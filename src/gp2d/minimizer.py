@@ -12,6 +12,7 @@ use the plain projected gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +33,10 @@ class MinimizerOptions:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ValueError(f"tol_residual must be finite and positive, got {self.tol_residual}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -93,8 +94,8 @@ def minimize(
     refused: on a finite grid the infimum there is spurious.
     """
     opts = opts or MinimizerOptions()
-    if a < 0:
-        raise ValueError(f"coupling must be nonnegative, got {a}")
+    if not (np.isfinite(a) and a >= 0):
+        raise ValueError(f"coupling must be finite and nonnegative, got {a}")
     if a_star is not None and a >= a_star * (1.0 - CRITICALITY_MARGIN):
         raise CriticalCouplingGuard(
             f"a = {a} too close to the critical coupling {a_star}"
@@ -225,8 +226,8 @@ def continuation_sweep(
     the result, not raised.
     """
     schedule = [float(a) for a in schedule]
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    if not np.all(np.isfinite(schedule)) or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be finite and strictly increasing, got {schedule}")
     opts = opts or MinimizerOptions()
     results: list[MinimizerResult] = []
     init = None

@@ -15,7 +15,7 @@ from gp2d.diagnostics import analyze_sweep, classify_sequence, concentration_cur
 from gp2d.energy import dilate, dilation_scan, energy, energy_gradient, gn_quotient
 from gp2d.grid import Field, inner, make_grid, normalize
 from gp2d.minimizer import MinimizerOptions, continuation_sweep
-from gp2d.potentials import PotentialSpec, ess_inf_estimate, realize
+from gp2d.potentials import Lattice, PowerWell, Sinc, ess_inf_estimate, realize
 from gp2d.soliton import critical_coupling, lift_to_grid, solve_townes
 from gp2d.spectrum import check_v1, ground_energy
 from helpers import random_localized_potential, random_smooth_field
@@ -29,7 +29,7 @@ def report(num: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def harmonic_sweep(profile, a_star, grid512):
     """Near-critical sweep shared by criteria 3 and 4."""
-    spec = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    spec = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     V = realize(spec, grid512)
     fractions = [0.05 * 0.65**k for k in range(7)]
     schedule = [a_star * (1.0 - f) for f in fractions]
@@ -37,7 +37,7 @@ def harmonic_sweep(profile, a_star, grid512):
     t0 = time.monotonic()
     results = continuation_sweep(V, schedule, grid512, opts, a_star=a_star)
     elapsed = time.monotonic() - t0
-    report_obj = analyze_sweep(results, profile, p=2.0, h0=1.0)
+    report_obj = analyze_sweep(results, profile, spec.trap)
     return report_obj, elapsed, [r.iters for r in results]
 
 
@@ -101,7 +101,7 @@ def test_criterion_4_profile_convergence(harmonic_sweep):
 
 
 def test_criterion_5_energy_limit(profile, a_star, grid16):
-    spec = PotentialSpec(kind="sinc")
+    spec = Sinc()
     V = realize(spec, grid16)
     ess = ess_inf_estimate(spec)
     schedule = [f * a_star for f in (0.9, 0.95, 0.975, 0.9875)]
@@ -119,7 +119,7 @@ def test_criterion_5_energy_limit(profile, a_star, grid16):
 
 
 def test_criterion_6_supercritical_instability(profile, a_star, grid512):
-    spec = PotentialSpec(kind="sinc")
+    spec = Sinc()
     V = realize(spec, grid512)
     # dilate concentrates about the origin, so move the potential minimum there
     iy, ix = np.unravel_index(np.argmin(V.values), V.values.shape)
@@ -170,7 +170,7 @@ def test_criterion_9_condition_checkers(grid16):
     ok_a = (not free.passes_v1) and abs(free.v1_margin) < 1e-6
 
     # (b) truncated harmonic ground energy equals 2 sqrt(h0), dense 1D oracle
-    spec = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    spec = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     lam, _, _ = ground_energy(realize(spec, grid16), grid16, tol=1e-8)
     F = dft(grid16.n) / np.sqrt(grid16.n)
     K = (F.conj().T @ np.diag(grid16.k**2) @ F).real
@@ -181,7 +181,7 @@ def test_criterion_9_condition_checkers(grid16):
     # (c) lattice convolution minimum: interior attained and shift equivariant
     from gp2d.potentials import check_v2
 
-    lat = PotentialSpec(kind="lattice", amplitude=0.5, period=8.0)
+    lat = Lattice(s=0.5, period=8.0)
     rr0 = grid16.radius()
     u0 = normalize(Field(grid16, np.exp(-(rr0**2) / 2.0)))
     rr1 = grid16.radius((2.0, 0.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gp2d.cli as cli
-from gp2d.cli import EXIT_CODES, run
+from gp2d.cli import run
 from gp2d.energy import energy
 from gp2d.errors import GPError
 from gp2d.grid import Field, l2_norm, make_grid, normalize, read_gpf, write_gpf
@@ -41,9 +41,18 @@ def test_soliton_json_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_gp_error_has_an_exit_code():
-    for cls in GPError.__subclasses__():
-        assert EXIT_CODES.get(cls) in (2, 3), cls.__name__
+    # GPError itself has none, so a subclass outside the two bases fails here
+    classes = list(_subclasses(GPError))
+    assert len(classes) > 2
+    for cls in classes:
+        assert getattr(cls, "exit_code", None) in (2, 3), cls.__name__
 
 
 @pytest.mark.parametrize(
@@ -57,6 +66,33 @@ def test_odd_sample_count_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "even" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["minimize", "--potential", "zero c=5", "--a", "1", "--L", "8", "--n", "16"], None),
+        (["check-v1", "--potential", "constant h0=2", "--L", "8", "--n", "16"], None),
+        (["check-v1", "--potential", "sinc", "--L", "inf", "--n", "32"], None),
+        (["check-v2", "--potential", "sinc", "--L", "nan", "--n", "32"], None),
+        (["minimize", "--potential", "zero", "--a", "1", "--L", "8", "--n", "16",
+          "--tol", "nan", "--max-iters", "50"], None),
+        (["minimize", "--potential", "zero", "--a", "nan", "--L", "8", "--n", "16",
+          "--max-iters", "50"], None),
+        (["sweep"], "potential = zero\nL = nan\nn = 16\na_schedule = 1\n"),
+        (["sweep"], "potential = zero\nL = 8\nn = 16\na_schedule = nan\nmax_iters = 50\n"),
+    ],
+)
+def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + f"out_dir = {tmp_path / 'rep'}\n")
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -2,6 +2,8 @@ import pytest
 
 from gp2d.config import parse_config_text
 from gp2d.errors import ConfigError
+from gp2d.grid import make_grid
+from gp2d.potentials import PowerWell, Zero
 
 GOOD = """\
 # harmonic well sweep
@@ -17,9 +19,9 @@ out_dir = report
 
 def test_parse_good():
     cfg = parse_config_text(GOOD)
-    assert cfg.potential.kind == "power_well"
-    assert cfg.L == 16.0 and cfg.n == 512
-    assert cfg.tol == 3e-6
+    assert cfg.potential == PowerWell(h0=1.0, p=2.0, rcut=8.0)
+    assert cfg.grid == make_grid(16.0, 512)
+    assert cfg.opts.tol_residual == 3e-6 and cfg.opts.max_iters == 40000
 
 
 def test_geometric_schedule():
@@ -44,6 +46,12 @@ def test_explicit_schedule():
         "potential = zero\nL = 8\nn = 32\na_schedule = geom:2,0.5,3\n",
         "potential = zero\nL = 8\nn = 32\na_schedule = one,two\n",
         "potential = zero\nL = 8\nn = 33\na_schedule = 1\n",
+        "potential = zero\nL = nan\nn = 32\na_schedule = 1\n",
+        "potential = zero\nL = inf\nn = 32\na_schedule = 1\n",
+        "potential = zero\nL = 0\nn = 32\na_schedule = 1\n",
+        "potential = zero\nL = 8\nn = 8\na_schedule = 1\n",
+        "potential = zero c=5\nL = 8\nn = 32\na_schedule = 1\n",
+        "potential = zero\nL = 8\nn = 32\na_schedule = 1\ntol = nan\n",
         "potential = zero\nL = 8\nn = 32\na_schedule = 1\nL = 9\n",  # duplicate
         "potential zero\nL = 8\nn = 32\na_schedule = 1\n",  # no equals
         "potential = zero\nL = 8\nn = 32\na_schedule = 1\nbox_check = maybe\n",
@@ -57,4 +65,4 @@ def test_parse_rejects(text):
 
 def test_comments_and_blank_lines():
     cfg = parse_config_text("\n# hi\npotential = zero  # inline\nL = 8\nn = 32\na_schedule = 1\n")
-    assert cfg.potential.kind == "zero"
+    assert cfg.potential == Zero()

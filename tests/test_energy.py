@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from gp2d.energy import (
+    Functional,
     dilate,
     dilation_scan,
     energy,
@@ -13,7 +15,7 @@ from gp2d.energy import (
     trial_state_energy,
 )
 from gp2d.errors import DegenerateField, ResolutionExceeded, UnnormalizedInput
-from gp2d.grid import Field, inner, make_grid, normalize
+from gp2d.grid import Field, inner, make_grid, mass, normalize
 from helpers import random_localized_potential, random_smooth_field
 
 
@@ -59,6 +61,50 @@ def test_quotient_scale_invariance(seed, c):
     u = random_smooth_field(g, np.random.default_rng(seed), width=1.5)
     scaled = Field(g, c * u.values)
     assert gn_quotient(scaled) == pytest.approx(gn_quotient(u), rel=1e-10)
+
+
+def _random_state(seed, n):
+    """A smooth unit-mass field and a bounded potential on an n-point grid."""
+    g = make_grid(8.0, n)
+    rng = np.random.default_rng(seed)
+    return g, random_smooth_field(g, rng).values, random_localized_potential(g, rng).values
+
+
+SEEDS = st.integers(min_value=0, max_value=10**6)
+SIZES = st.sampled_from([16, 32, 64])
+SHIFTS = st.tuples(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
+COUPLINGS = st.floats(min_value=0.0, max_value=12.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, SIZES, SHIFTS, COUPLINGS)
+def test_functional_invariant_under_grid_shift(seed, n, shift, a):
+    # a circular shift of both u and V is a symmetry of the periodic functional
+    g, u, V = _random_state(seed, n)
+    E = Functional(g, V, a).energy(u, fft.rfft2(u)).total
+    us, Vs = np.roll(u, shift, axis=(0, 1)), np.roll(V, shift, axis=(0, 1))
+    E_shifted = Functional(g, Vs, a).energy(us, fft.rfft2(us)).total
+    assert E_shifted == pytest.approx(E, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, SIZES, SHIFTS, COUPLINGS)
+def test_half_gradient_commutes_with_grid_shift(seed, n, shift, a):
+    g, u, V = _random_state(seed, n)
+    us, Vs = np.roll(u, shift, axis=(0, 1)), np.roll(V, shift, axis=(0, 1))
+    grad = Functional(g, V, a).half_gradient(u, fft.rfft2(u))
+    grad_shifted = Functional(g, Vs, a).half_gradient(us, fft.rfft2(us))
+    error = np.max(np.abs(grad_shifted - np.roll(grad, shift, axis=(0, 1))))
+    assert error <= 1e-12 * np.max(np.abs(grad))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, SIZES, COUPLINGS, st.floats(min_value=1e-6, max_value=10.0))
+def test_retraction_restores_unit_mass(seed, n, a, tau):
+    # the minimizer's step back onto the sphere: normalize(|u - tau d|)
+    g, u, V = _random_state(seed, n)
+    d = Functional(g, V, a).half_gradient(u, fft.rfft2(u))
+    assert mass(normalize(Field(g, np.abs(u - tau * d)))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gradient_central_difference(rng):

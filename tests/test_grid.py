@@ -28,6 +28,9 @@ def test_grid_validation():
         make_grid(-1.0, 32)
     with pytest.raises(InvalidGrid):
         make_grid(8.0, 8)
+    for L in (np.inf, np.nan):
+        with pytest.raises(InvalidGrid):
+            make_grid(L, 32)
 
 
 def test_coordinates_and_weight():

@@ -10,7 +10,7 @@ from gp2d.minimizer import (
     el_residual,
     minimize,
 )
-from gp2d.potentials import PotentialSpec, realize
+from gp2d.potentials import PowerWell, Sinc, realize
 
 
 def zero_potential(grid):
@@ -22,11 +22,22 @@ def test_options_validation():
         MinimizerOptions(tol_residual=0.0)
     with pytest.raises(ValueError):
         MinimizerOptions(max_iters=0)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            MinimizerOptions(tol_residual=tol)
+    with pytest.raises(ValueError):
+        MinimizerOptions(max_iters=2.5)
 
 
 def test_negative_coupling_rejected(grid_small):
     with pytest.raises(ValueError):
         minimize(zero_potential(grid_small), -1.0, grid_small)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_non_finite_coupling_rejected(grid_small, a):
+    with pytest.raises(ValueError):
+        minimize(zero_potential(grid_small), a, grid_small)
 
 
 def test_criticality_guard(grid_small, a_star):
@@ -51,7 +62,7 @@ def test_free_subcritical_is_constant(grid_small, a_star):
 
 
 def test_minimizer_invariants(grid16, a_star):
-    spec = PotentialSpec(kind="sinc")
+    spec = Sinc()
     V = realize(spec, grid16)
     opts = MinimizerOptions(tol_residual=1e-6, max_iters=20000)
     res = minimize(V, 0.8 * a_star, grid16, opts, a_star=a_star)
@@ -72,7 +83,7 @@ def test_minimizer_invariants(grid16, a_star):
 def test_unconverged_result_describes_returned_field(grid_small):
     # a run cut off by max_iters reports mu and the residual of the field it
     # returns, not of the iterate before its last step
-    V = realize(PotentialSpec(kind="sinc"), grid_small)
+    V = realize(Sinc(), grid_small)
     res = minimize(V, 5.0, grid_small, MinimizerOptions(max_iters=7))
     assert not res.converged
     assert res.residual == pytest.approx(el_residual(res, V, 5.0), rel=1e-6)
@@ -82,10 +93,12 @@ def test_unconverged_result_describes_returned_field(grid_small):
 def test_sweep_schedule_validation(grid_small):
     with pytest.raises(ValueError):
         continuation_sweep(zero_potential(grid_small), [2.0, 1.0], grid_small)
+    with pytest.raises(ValueError):
+        continuation_sweep(zero_potential(grid_small), [1.0, np.nan], grid_small)
 
 
 def test_continuation_sweep(grid16, a_star):
-    spec = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    spec = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     V = realize(spec, grid16)
     schedule = [0.7 * a_star, 0.85 * a_star]
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=20000)

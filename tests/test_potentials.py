@@ -4,25 +4,37 @@ import pytest
 from gp2d.errors import ConfigError, FileFormatError
 from gp2d.grid import Field, make_grid, normalize, write_gpf
 from gp2d.potentials import (
-    PotentialSpec,
+    Constant,
+    FilePotential,
+    Lattice,
+    PowerWell,
+    Sinc,
+    Zero,
     check_v2,
     ess_inf_estimate,
     parse_potential,
     realize,
-    sinc_min,
 )
 
 
 def test_parse_grammar():
-    assert parse_potential("sinc").kind == "sinc"
+    assert parse_potential("sinc") == Sinc()
     pw = parse_potential("power_well h0=1 p=2 rcut=8")
     assert (pw.h0, pw.p, pw.rcut) == (1.0, 2.0, 8.0)
     lat = parse_potential("lattice s=0.5 period=1")
-    assert (lat.amplitude, lat.period) == (0.5, 1.0)
-    f = parse_potential("file:path.gpf")
-    assert f.kind == "file" and f.path == "path.gpf"
+    assert (lat.s, lat.period) == (0.5, 1.0)
+    assert parse_potential("file:path.gpf") == FilePotential("path.gpf")
     const = parse_potential("constant c=2.5")
     assert const.c == 2.5
+    # omitted parameters take the kind's defaults
+    assert parse_potential("power_well p=1") == PowerWell(h0=1.0, p=1.0, rcut=8.0)
+    assert parse_potential("zero") == Zero() and parse_potential("constant") == Constant(0.0)
+
+
+def test_trap_law_only_for_the_power_well():
+    assert parse_potential("power_well h0=0.5 p=3").trap == (3.0, 0.5)
+    for text in ("zero", "constant c=1", "lattice", "sinc", "file:v.gpf"):
+        assert parse_potential(text).trap is None
 
 
 @pytest.mark.parametrize(
@@ -36,6 +48,15 @@ def test_parse_grammar():
         "lattice h0=1",
         "power_well h0=-1",
         "lattice s=0.5 period=0",
+        "zero c=5",
+        "constant h0=2",
+        "power_well amplitude=3",
+        "power_well h0=inf",
+        "power_well rcut=inf",
+        "constant c=nan",
+        "lattice period=inf",
+        "power_well h0=1 h0=2",
+        "file:",
     ],
 )
 def test_parse_rejects(text):
@@ -44,7 +65,7 @@ def test_parse_rejects(text):
 
 
 def test_power_well_truncation(grid16):
-    spec = PotentialSpec(kind="power_well", h0=2.0, p=2.0, rcut=4.0)
+    spec = PowerWell(h0=2.0, p=2.0, rcut=4.0)
     V = realize(spec, grid16)
     rr = grid16.radius()
     far = rr > 4.5
@@ -53,7 +74,7 @@ def test_power_well_truncation(grid16):
 
 
 def test_lattice_range(grid16):
-    spec = PotentialSpec(kind="lattice", amplitude=0.5, period=4.0)
+    spec = Lattice(s=0.5, period=4.0)
     V = realize(spec, grid16)
     assert V.values.min() == pytest.approx(-1.0)
     assert V.values.max() == pytest.approx(1.0)
@@ -61,18 +82,18 @@ def test_lattice_range(grid16):
 
 
 def test_sinc_shape(grid16):
-    V = realize(PotentialSpec(kind="sinc"), grid16)
+    V = realize(Sinc(), grid16)
     origin = np.unravel_index(np.argmin(grid16.radius()), V.values.shape)
     assert V.values[origin] == pytest.approx(1.0)
-    assert V.values.min() >= sinc_min() - 1e-9
+    assert V.values.min() >= Sinc().ess_inf() - 1e-9
 
 
 def test_sinc_min_value():
     # independent check on a fine radial mesh
     r = np.linspace(1e-6, 20.0, 2_000_001)
     direct = float(np.min(np.sin(r) / r))
-    assert sinc_min() == pytest.approx(direct, abs=1e-9)
-    assert sinc_min() == pytest.approx(-0.2172336, abs=1e-6)
+    assert Sinc().ess_inf() == pytest.approx(direct, abs=1e-9)
+    assert Sinc().ess_inf() == pytest.approx(-0.2172336, abs=1e-6)
 
 
 def test_file_potential_round_trip(tmp_path, grid_small):
@@ -88,10 +109,10 @@ def test_file_potential_round_trip(tmp_path, grid_small):
 
 
 def test_ess_inf_analytic():
-    assert ess_inf_estimate(PotentialSpec(kind="zero")) == 0.0
-    assert ess_inf_estimate(PotentialSpec(kind="constant", c=-3.0)) == -3.0
-    assert ess_inf_estimate(PotentialSpec(kind="power_well")) == 0.0
-    assert ess_inf_estimate(PotentialSpec(kind="sinc")) == pytest.approx(sinc_min())
+    assert ess_inf_estimate(Zero()) == 0.0
+    assert ess_inf_estimate(Constant(c=-3.0)) == -3.0
+    assert ess_inf_estimate(PowerWell()) == 0.0
+    assert ess_inf_estimate(Sinc()) == Sinc().ess_inf()
 
 
 def gaussian(grid, center=(0.0, 0.0), width=1.0):
@@ -100,7 +121,7 @@ def gaussian(grid, center=(0.0, 0.0), width=1.0):
 
 
 def test_check_v2_lattice_interior(grid16):
-    spec = PotentialSpec(kind="lattice", amplitude=0.5, period=8.0)
+    spec = Lattice(s=0.5, period=8.0)
     u = gaussian(grid16)
     report = check_v2(spec, u, eps=0.01, grid=grid16)
     assert report.attained_interior
@@ -112,7 +133,7 @@ def test_check_v2_lattice_interior(grid16):
 
 
 def test_check_v2_shift_equivariance(grid16):
-    spec = PotentialSpec(kind="lattice", amplitude=0.5, period=8.0)
+    spec = Lattice(s=0.5, period=8.0)
     shift = 2.0
     r0 = check_v2(spec, gaussian(grid16), eps=0.01, grid=grid16)
     r1 = check_v2(spec, gaussian(grid16, center=(shift, 0.0)), eps=0.01, grid=grid16)
@@ -121,7 +142,7 @@ def test_check_v2_shift_equivariance(grid16):
     assert min(dx_loc, spec.period - dx_loc) == pytest.approx(shift % spec.period, abs=0.05)
     # a lattice period that divides the box hides a misplaced minimum; a
     # single well pins the absolute location under the carrier's center
-    well = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    well = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     g = make_grid(16.0, 128)
     for center in ((0.0, 0.0), (shift, 0.0)):
         rep = check_v2(well, gaussian(g, center=center), eps=0.01, grid=g)
@@ -130,14 +151,14 @@ def test_check_v2_shift_equivariance(grid16):
 
 
 def test_check_v2_constant_degenerate(grid_small):
-    spec = PotentialSpec(kind="constant", c=1.0)
+    spec = Constant(c=1.0)
     report = check_v2(spec, gaussian(grid_small), eps=0.01, grid=grid_small)
     assert report.degenerate_flat
     assert not report.attained_interior
 
 
 def test_check_v2_requires_unit_mass(grid_small):
-    spec = PotentialSpec(kind="zero")
+    spec = Zero()
     u = Field(grid_small, np.full((grid_small.n, grid_small.n), 0.3))
     with pytest.raises(ValueError):
         check_v2(spec, u, eps=0.01, grid=grid_small)

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import dft, eigh
 
 from gp2d.grid import Field, make_grid
-from gp2d.potentials import PotentialSpec, ess_inf_estimate, realize
+from gp2d.potentials import PowerWell, ess_inf_estimate, realize
 from gp2d.spectrum import check_v1, ground_energy
 
 
@@ -29,7 +29,7 @@ def test_constant_shift(grid_small):
 
 
 def test_truncated_harmonic_against_dense_oracle(grid16):
-    spec = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    spec = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     V = realize(spec, grid16)
     lam, _, _ = ground_energy(V, grid16, tol=1e-8)
     # the 2D well separates up to corner corrections of order exp(-rcut^2)
@@ -40,7 +40,7 @@ def test_truncated_harmonic_against_dense_oracle(grid16):
 
 
 def test_check_v1_passes_for_well(grid16):
-    spec = PotentialSpec(kind="power_well", h0=1.0, p=2.0, rcut=8.0)
+    spec = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     V = realize(spec, grid16)
     report = check_v1(V, grid16, ess_inf_V=ess_inf_estimate(spec))
     assert report.passes_v1
