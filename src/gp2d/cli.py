@@ -225,12 +225,16 @@ def cmd_blowup(args) -> int:
             e.eps,
             e.l2_dist,
             e.h1_dist,
+            res.residual,
+            str(res.iters),
+            str(res.converged).lower(),
             str(e.resolved).lower(),
         )
-        for e in report.entries
+        for e, res in zip(report.entries, results)
     ]
     csv_path = out_dir / "entries.csv"
-    _write_csv(csv_path, ("a", "E", "eps", "L2_dist", "H1_dist", "resolved"), rows)
+    header = ("a", "E", "eps", "L2_dist", "H1_dist", "residual", "iters", "converged", "resolved")
+    _write_csv(csv_path, header, rows)
     manifest.add_output(csv_path)
 
     for i, entry in enumerate(report.entries):

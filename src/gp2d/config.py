@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidGrid, OddSampleCount
 from .grid import Grid2D, make_grid
-from .minimizer import MinimizerOptions
+from .minimizer import MinimizerOptions, ascending_schedule
 from .potentials import PotentialSpec, parse_potential
 
 KNOWN_KEYS = {
@@ -31,7 +31,11 @@ class SweepConfig:
 
     def schedule(self, a_star: float) -> list[float]:
         """Resolve the schedule: absolute comma list or geom:start,ratio,count
-        meaning a_k = a* (1 - start * ratio^k)."""
+        meaning a_k = a* (1 - start * ratio^k).
+
+        An absolute list must be nonempty; minimizer.ascending_schedule
+        states the rest.
+        """
         text = self.a_schedule_raw.strip()
         if text.startswith("geom:"):
             try:
@@ -43,9 +47,9 @@ class SweepConfig:
                 raise ConfigError(f"geometric schedule out of range: {text!r}")
             return [a_star * (1.0 - start * ratio**k) for k in range(count)]
         try:
-            values = [float(tok) for tok in text.split(",") if tok.strip()]
+            values = ascending_schedule(float(tok) for tok in text.split(",") if tok.strip())
         except ValueError as exc:
-            raise ConfigError(f"malformed schedule {text!r}") from exc
+            raise ConfigError(f"bad schedule {text!r}: {exc}") from exc
         if not values:
             raise ConfigError("empty coupling schedule")
         return values
@@ -80,6 +84,8 @@ def parse_config_text(text: str) -> SweepConfig:
         )
     except (ValueError, InvalidGrid, OddSampleCount) as exc:
         raise ConfigError(str(exc)) from exc
+    # no schedule rule involves a*: check them all before any Townes solve
+    cfg.schedule(1.0)
     return cfg
 
 

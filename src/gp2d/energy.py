@@ -115,8 +115,10 @@ def eps_width(u: Field) -> float:
 def dilate(u: Field, ell: float) -> Field:
     """Spectrally resampled dilation u_ell(x) = ell * u(ell x), renormalized.
 
-    Raises ResolutionExceeded when the dilated width eps_width(u)/ell would
-    fall below MIN_WIDTH_CELLS cells.
+    The result is a field the program reports on, so it must be resolved:
+    raises ResolutionExceeded when the dilated width eps_width(u)/ell would
+    fall below MIN_WIDTH_CELLS cells.  Past that guard it is
+    resample_dilation(u, ell).
     """
     if ell < 1.0:
         raise ValueError(f"dilation factor must be >= 1, got {ell}")
@@ -127,6 +129,16 @@ def dilate(u: Field, ell: float) -> Field:
             f"dilated width {predicted:.4g} below {MIN_WIDTH_CELLS} dx = "
             f"{MIN_WIDTH_CELLS * g.dx:.4g}"
         )
+    return resample_dilation(u, ell)
+
+
+def resample_dilation(u: Field, ell: float) -> Field:
+    """The dilation u_ell of dilate(), ell >= 1, without its resolution guard.
+
+    For a field that only seeds a minimization, such as a sweep's warm
+    start: there a width below MIN_WIDTH_CELLS cells is still the best guess.
+    """
+    g = u.grid
     vals = ell * resample_affine(u, ell)
     # keep only samples whose preimage ell*x stays inside the fundamental box;
     # the periodic interpolant would otherwise alias in wrapped ghost copies

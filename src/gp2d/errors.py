@@ -61,6 +61,10 @@ class CriticalCouplingGuard(InputError):
     """Coupling too close to the critical value for a finite grid."""
 
 
+class NonFiniteIterate(NumericalFailure):
+    """The minimizer met a non-finite residual or trial energy."""
+
+
 class UnderResolved(NumericalFailure):
     """Field too narrow to rescale reliably."""
 

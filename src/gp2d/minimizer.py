@@ -12,14 +12,15 @@ use the plain projected gradient.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
 
-from .energy import MIN_WIDTH_CELLS, Functional, dilate, energy_gradient
-from .errors import CriticalCouplingGuard, ResolutionExceeded
+from .energy import MIN_WIDTH_CELLS, Functional, energy_gradient, resample_dilation
+from .errors import CriticalCouplingGuard, NonFiniteIterate
 from .grid import Field, Grid2D, inner, l2_norm, normalize, shift_to_index
 
 CRITICALITY_MARGIN = 1e-4
@@ -42,7 +43,11 @@ class MinimizerOptions:
 @dataclass
 class MinimizerResult:
     """The returned iterate u with its energy E, Lagrange multiplier mu and
-    projected-gradient residual, all evaluated at u."""
+    projected-gradient residual, all evaluated at u.
+
+    backtracks counts the trial steps the Armijo test rejected, flips the
+    accepted steps whose candidate the positivity flip changed.
+    """
 
     u: Field
     E: float
@@ -53,6 +58,8 @@ class MinimizerResult:
     eps: float
     coupling: float
     resolution_warning: bool = False
+    backtracks: int = 0
+    flips: int = 0
     energy_trace: list = field(default_factory=list, repr=False)
 
 
@@ -80,6 +87,7 @@ def _projected_gradient(func: Functional, u, uh):
     return pg, mu, float(np.sqrt(np.sum(pg**2) * w))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported as NonFiniteIterate instead
 def minimize(
     V: Field,
     a: float,
@@ -91,7 +99,8 @@ def minimize(
     """Minimize E_a over the unit-mass sphere.
 
     If a_star is supplied, couplings within the criticality margin of it are
-    refused: on a finite grid the infimum there is spurious.
+    refused: on a finite grid the infimum there is spurious.  Raises
+    NonFiniteIterate at the first non-finite residual or trial energy.
     """
     opts = opts or MinimizerOptions()
     if not (np.isfinite(a) and a >= 0):
@@ -115,9 +124,11 @@ def minimize(
     iters = 0
     prev_u = None
     prev_pg = None
-    stalls = 0
+    stalls = backtracks = flips = 0
     for iters in range(1, opts.max_iters + 1):
         pg, mu, residual = _projected_gradient(func, uvals, uh)
+        if not math.isfinite(residual):
+            raise NonFiniteIterate(f"non-finite residual at iteration {iters} (a = {a})")
         if residual <= opts.tol_residual:
             converged = True
             break
@@ -146,7 +157,8 @@ def minimize(
             # positivity enforcement: flip genuinely negative excursions, but
             # leave tiny dips alone -- the sign kinks of a blanket abs()
             # pollute the spectral kinetic term and floor the residual
-            if cand.min() < -1e-4 * cand.max():
+            flipped = bool(cand.min() < -1e-4 * cand.max())
+            if flipped:
                 np.abs(cand, out=cand)
             ch = fft.rfft2(cand)
             m = float(np.sum(cand**2) * w)
@@ -154,10 +166,14 @@ def minimize(
             cand *= scale
             ch *= scale
             E_cand = func.energy(cand, ch).total
+            if not math.isfinite(E_cand):
+                raise NonFiniteIterate(f"non-finite trial energy at iteration {iters} (a = {a})")
             if E_cand <= E - 1e-4 * tau * slope:
                 uvals, uh, E = cand, ch, E_cand
                 accepted = True
+                flips += flipped
                 break
+            backtracks += 1
             tau *= BACKTRACK_FACTOR
         if not accepted:
             # step underflow: drop the Barzilai-Borwein memory and retry once
@@ -187,6 +203,8 @@ def minimize(
         eps=float(eps),
         coupling=a,
         resolution_warning=bool(eps < MIN_WIDTH_CELLS * grid.dx),
+        backtracks=backtracks,
+        flips=flips,
         energy_trace=trace,
     )
 
@@ -200,16 +218,26 @@ def el_residual(result: MinimizerResult, V: Field, a: float) -> float:
 
 
 def _recentered_dilate(u: Field, ell: float) -> Field:
-    """Dilate about the density argmax so off-center bumps stay put."""
+    """Dilate about the density argmax so off-center bumps stay put.
+
+    The result is a warm start, not a published field, so it takes the
+    width eps_width(u)/ell even below MIN_WIDTH_CELLS cells, where dilate()
+    would refuse: the minimizer then starts at the width it will reach.
+    """
     iy, ix = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
     i0 = u.grid.n // 2
-    centered = shift_to_index(u, iy, ix)
-    try:
-        narrowed = dilate(centered, ell)
-    except ResolutionExceeded:
-        return u
+    narrowed = resample_dilation(shift_to_index(u, iy, ix), ell)
     vals = np.roll(narrowed.values, (iy - i0, ix - i0), axis=(0, 1))
     return Field(u.grid, vals)
+
+
+def ascending_schedule(schedule) -> list[float]:
+    """The couplings of a sweep as floats; ValueError unless they are finite
+    and strictly increasing."""
+    schedule = [float(a) for a in schedule]
+    if not np.all(np.isfinite(schedule)) or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be finite and strictly increasing, got {schedule}")
+    return schedule
 
 
 def continuation_sweep(
@@ -222,12 +250,12 @@ def continuation_sweep(
     """Run minimize along an ascending coupling schedule with warm starts.
 
     Each entry starts from the previous minimizer rescaled by the ratio of
-    predicted widths (a*-a)^(1/4).  Per-entry non-convergence is recorded in
-    the result, not raised.
+    predicted widths (a*-a)^(1/4), the blow-up law eps ~ (a*-a)^(1/(p+2))
+    at p = 2, even where the grid does not resolve that width (see
+    _recentered_dilate).  Per-entry non-convergence is recorded in the
+    result, not raised.
     """
-    schedule = [float(a) for a in schedule]
-    if not np.all(np.isfinite(schedule)) or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError(f"schedule must be finite and strictly increasing, got {schedule}")
+    schedule = ascending_schedule(schedule)
     opts = opts or MinimizerOptions()
     results: list[MinimizerResult] = []
     init = None

@@ -199,6 +199,33 @@ def test_sweep_bad_potential_fails_before_townes(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("schedule", ["2.0, 1.0", "1.0, inf", ","])
+def test_sweep_bad_schedule_fails_before_townes(tmp_path, monkeypatch, capsys, schedule):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sweep solved the Townes profile before its schedule")
+
+    monkeypatch.setattr(cli, "_PROFILE", None)
+    monkeypatch.setattr(cli, "solve_townes", no_solve)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        f"potential = zero\nL = 8\nn = 32\na_schedule = {schedule}\n"
+        f"out_dir = {tmp_path / 'rep'}\n"
+    )
+    assert run(["sweep", "--config", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_iterate_exits_3(capsys):
+    # V of order 1e300 overflows the residual on the first iteration
+    argv = ["minimize", "--potential", "power_well h0=1e300 p=2 rcut=8", "--a", "1",
+            "--L", "8", "--n", "16", "--max-iters", "50"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_csv_floats_round_trip(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(FAST_CFG.format(out=tmp_path / "rep"))
@@ -257,7 +284,8 @@ def test_blowup_writes_fit_and_aligned_entries(tmp_path):
 
     # each aligned dump is the field whose distance to Townes the CSV reports
     q0 = lift_to_grid(profile_from_dict(json.loads(prof.read_text())), make_grid(12.0, 96))
-    rows = (out / "entries.csv").read_text().splitlines()[1:]
+    header, *rows = (out / "entries.csv").read_text().splitlines()
+    assert header == "a,E,eps,L2_dist,H1_dist,residual,iters,converged,resolved"
     assert len(rows) == 3
     for i, row in enumerate(rows):
         cells = row.split(",")

@@ -55,12 +55,16 @@ def test_explicit_schedule():
         "potential = zero\nL = 8\nn = 32\na_schedule = 1\nL = 9\n",  # duplicate
         "potential zero\nL = 8\nn = 32\na_schedule = 1\n",  # no equals
         "potential = zero\nL = 8\nn = 32\na_schedule = 1\nbox_check = maybe\n",
+        "potential = zero\nL = 8\nn = 32\na_schedule = 2.0, 1.0\n",
+        "potential = zero\nL = 8\nn = 32\na_schedule = 1.0, 1.0\n",
+        "potential = zero\nL = 8\nn = 32\na_schedule = 1.0, nan\n",
+        "potential = zero\nL = 8\nn = 32\na_schedule = ,\n",
     ],
 )
 def test_parse_rejects(text):
-    # bad schedules surface when resolved; everything else at parse time
+    # every rule, the schedule's included, is checked at parse time
     with pytest.raises(ConfigError):
-        parse_config_text(text).schedule(10.0)
+        parse_config_text(text)
 
 
 def test_comments_and_blank_lines():

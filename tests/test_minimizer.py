@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gp2d.energy import energy, energy_gradient
-from gp2d.errors import CriticalCouplingGuard
+from gp2d.energy import MIN_WIDTH_CELLS, Functional, dilate, energy, energy_gradient, eps_width
+from gp2d.errors import CriticalCouplingGuard, NonFiniteIterate, ResolutionExceeded
 from gp2d.grid import Field, inner, make_grid, mass
 from gp2d.minimizer import (
     MinimizerOptions,
+    _recentered_dilate,
     continuation_sweep,
     el_residual,
     minimize,
 )
-from gp2d.potentials import PowerWell, Sinc, realize
+from gp2d.potentials import PowerWell, Sinc, Zero, realize
 
 
 def zero_potential(grid):
@@ -88,6 +91,77 @@ def test_unconverged_result_describes_returned_field(grid_small):
     assert not res.converged
     assert res.residual == pytest.approx(el_residual(res, V, 5.0), rel=1e-6)
     assert res.mu == pytest.approx(inner(energy_gradient(res.u, V, 5.0), res.u), rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_iterate_raises():
+    # a = 1e200 overflows the residual's square on the first iteration; the
+    # run stops there with a named error instead of spending its budget
+    grid = make_grid(8.0, 16)
+    with pytest.raises(NonFiniteIterate):
+        minimize(realize(Zero(), grid), 1e200, grid, MinimizerOptions(max_iters=200))
+
+
+def test_non_finite_trial_energy_raises(grid_small, monkeypatch):
+    # every evaluation after the starting one reads as NaN
+    calls = []
+    evaluate = Functional.energy
+
+    def energy_nan_after_start(self, u, uh):
+        calls.append(1)
+        br = evaluate(self, u, uh)
+        return br if len(calls) == 1 else dataclasses.replace(br, total=np.nan)
+
+    monkeypatch.setattr(Functional, "energy", energy_nan_after_start)
+    with pytest.raises(NonFiniteIterate):
+        minimize(realize(Sinc(), grid_small), 5.0, grid_small, MinimizerOptions(max_iters=20))
+    assert len(calls) == 2
+
+
+def test_counters_account_for_every_trial(grid_small, monkeypatch):
+    # one energy evaluation to start, then one per accepted or rejected trial
+    calls = []
+    evaluate = Functional.energy
+    monkeypatch.setattr(
+        Functional, "energy", lambda self, u, uh: calls.append(1) or evaluate(self, u, uh)
+    )
+    V = realize(PowerWell(h0=1.0, p=2.0, rcut=8.0), grid_small)
+    res = minimize(V, 10.0, grid_small, MinimizerOptions(max_iters=200))
+    accepted = len(res.energy_trace) - 1
+    assert len(calls) == 1 + accepted + res.backtracks
+    assert res.backtracks > 0
+    # this collapsing run flips the sign of some accepted steps
+    assert 0 < res.flips <= accepted
+
+
+def test_warm_start_takes_the_predicted_width_below_four_cells(q0):
+    # a warm start is not a published field: it narrows to eps(u)/ell about
+    # the peak even where dilate() refuses for want of resolution
+    g = q0.grid
+    u = Field(g, np.roll(q0.values, (17, -9), axis=(0, 1)))
+    ell = 3.0
+    width = eps_width(u) / ell
+    assert width < MIN_WIDTH_CELLS * g.dx
+    warm = _recentered_dilate(u, ell)
+    assert eps_width(warm) == pytest.approx(width, rel=1e-2)
+    assert np.argmax(warm.values) == np.argmax(u.values)
+    with pytest.raises(ResolutionExceeded):
+        dilate(u, ell)
+
+
+def test_sweep_entry_below_four_cells_reaches_the_same_minimum(a_star):
+    # the last entry's warm start is predicted at 2.5 cells; it converges to
+    # the minimum that a start from the undilated previous minimizer reaches
+    grid = make_grid(12.0, 96)
+    V = realize(PowerWell(h0=0.0625, p=2.0, rcut=8.0), grid)
+    schedule = [0.9 * a_star, 0.99 * a_star]
+    opts = MinimizerOptions(tol_residual=1e-6, max_iters=20000)
+    first, last = continuation_sweep(V, schedule, grid, opts, a_star=a_star)
+    ell = ((a_star - schedule[0]) / (a_star - schedule[1])) ** 0.25
+    assert eps_width(first.u) / ell < MIN_WIDTH_CELLS * grid.dx
+    undilated = minimize(V, schedule[1], grid, opts, init=first.u, a_star=a_star)
+    assert last.converged and undilated.converged
+    assert last.E == pytest.approx(undilated.E, abs=1e-10)
 
 
 def test_sweep_schedule_validation(grid_small):
