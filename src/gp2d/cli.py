@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import asdict
@@ -87,6 +88,28 @@ class _Manifest:
         _dump_json(self.data, path)
 
 
+class _StderrLines(logging.Handler):
+    """One line per record on whatever sys.stderr is when the record is
+    emitted, so that a redirected or captured stderr receives it."""
+
+    def emit(self, record):
+        sys.stderr.write(self.format(record) + "\n")
+
+
+_PROGRESS = _StderrLines()
+
+
+def _report_progress():
+    """Send the package's INFO records (one line per sweep entry) to stderr.
+
+    Idempotent: repeated runs in one process share the one handler.
+    """
+    log = logging.getLogger("gp2d")
+    log.setLevel(logging.INFO)
+    if _PROGRESS not in log.handlers:
+        log.addHandler(_PROGRESS)
+
+
 def _profile_cached():
     global _PROFILE
     if _PROFILE is None:
@@ -157,6 +180,7 @@ def _run_schedule(cfg: SweepConfig, manifest: _Manifest, load_profile):
     """
     V = realize(cfg.potential, cfg.grid)
     a_star = critical_coupling(load_profile())
+    _report_progress()
     manifest.data["grid"] = {"L": cfg.grid.L, "n": cfg.grid.n}
     manifest.data["a_star"] = a_star
     schedule = cfg.schedule(a_star)

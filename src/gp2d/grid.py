@@ -17,6 +17,7 @@ from scipy import fft
 from .errors import FileFormatError, InvalidGrid, OddSampleCount
 
 GPF1_MAGIC = b"GPF1\0\0\0\0"
+_CHIRP_BLOCK = 64  # rows per chirp-z block: a 64 x 1024 complex buffer at n = 512
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ def l2_norm(u: Field) -> float:
 
 def laplacian_apply(u: Field) -> Field:
     """Spectral Laplacian; exact for band-limited inputs."""
-    uh = np.fft.rfft2(u.values)
-    out = np.fft.irfft2(-u.grid.k2r * uh, s=u.values.shape)
+    uh = fft.rfft2(u.values)
+    out = fft.irfft2(-u.grid.k2r * uh, s=u.values.shape)
     return Field(u.grid, out)
 
 
@@ -178,18 +179,42 @@ def peak_location(grid: Grid2D, vals: np.ndarray) -> tuple:
 def resample_affine(u: Field, scale: float, offset=(0.0, 0.0)) -> np.ndarray:
     """Values of the trigonometric interpolant of u at offset + scale*x.
 
-    The evaluation points form a tensor grid, so the interpolation factors
-    into two 1D complex matrix products.
+    The evaluation points form a tensor grid, so the interpolant is summed
+    one axis at a time, each sum a chirp-z transform of the centred spectrum
+    (Bluestein's algorithm): FFTs only, no dense n x n products.
     """
     g = u.grid
-    k = g.k
-    x = g.x
-    # DFT indices count from x = -L, so each axis carries a phase exp(i k L)
-    ph = np.exp(1j * k * g.L)
-    uh = np.fft.fft2(u.values) * ph[:, None] * ph[None, :] / g.n**2
-    ex = np.exp(1j * np.outer(offset[0] + scale * x, k))
-    ey = np.exp(1j * np.outer(offset[1] + scale * x, k))
-    return (ey @ uh @ ex.T).real
+    spec = fft.fftshift(fft.fft2(u.values)) / g.n**2
+    spec = _chirp_z_rows(spec, scale, offset[0], g.L)
+    return _chirp_z_rows(spec.T, scale, offset[1], g.L).real.T
+
+
+def _chirp_z_rows(c: np.ndarray, scale: float, offset: float, L: float) -> np.ndarray:
+    """f[:, p] = sum_m c[:, m + n/2] exp(i k_m (L + offset + scale x_p)), m = -n/2 .. n/2-1.
+
+    The phase exp(i k_m L) = (-1)^m puts DFT index 0 at x = -L.  With
+    x_p = j dx, j = p - n/2, the rest is exp(i k_m offset) times
+    exp(2 pi i scale m j / n), and 2 m j = m^2 + j^2 - (j - m)^2 turns the
+    sum into a linear convolution with a chirp, taken by FFTs of length
+    >= 2n - 1.  Rows go in blocks so that the padded buffers stay small.
+    """
+    n = c.shape[1]
+    size = fft.next_fast_len(2 * n - 1)
+    m = np.arange(n) - n // 2
+    half_beta = np.pi * scale / n
+    chirp = np.exp(1j * half_beta * (m * m))
+    pre = np.exp(1j * (np.pi * m) * (1.0 + offset / L)) * chirp
+    lags = np.arange(size)
+    lags = np.where(lags < n, lags, lags - size)  # outputs 0..n-1 read only |lag| < n
+    kernel = fft.fft(np.exp(-1j * half_beta * (lags * lags)))
+    out = np.empty(c.shape, dtype=complex)
+    for start in range(0, c.shape[0], _CHIRP_BLOCK):
+        rows = slice(start, start + _CHIRP_BLOCK)
+        buf = fft.fft(c[rows] * pre, size, axis=1)
+        buf *= kernel
+        buf = fft.ifft(buf, axis=1, overwrite_x=True)
+        np.multiply(buf[:, :n], chirp, out=out[rows])
+    return out
 
 
 def shift_to_index(u: Field, iy: int, ix: int) -> Field:

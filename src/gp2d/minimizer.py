@@ -12,8 +12,10 @@ use the plain projected gradient.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,8 @@ from .grid import Field, Grid2D, inner, l2_norm, normalize, shift_to_index
 CRITICALITY_MARGIN = 1e-4
 STEP_INIT = 0.5
 BACKTRACK_FACTOR = 0.5
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -240,6 +244,26 @@ def ascending_schedule(schedule) -> list[float]:
     return schedule
 
 
+def _warm_start(schedule, fields, a_star):
+    """Initial field of entry len(fields) of a sweep whose earlier entries
+    have the minimizers fields, by the rule of continuation_sweep."""
+    i = len(fields)
+    if i == 0:
+        return None
+    if a_star is None:
+        return fields[-1]
+
+    def width_ratio(j):
+        return max(((a_star - schedule[j - 1]) / (a_star - schedule[j])) ** 0.25, 1.0)
+
+    guess = fields[-1]
+    if i >= 2:
+        theta = (schedule[i] - schedule[i - 1]) / (schedule[i - 1] - schedule[i - 2])
+        carried = _recentered_dilate(fields[-2], width_ratio(i - 1))
+        guess = Field(guess.grid, guess.values + theta * (guess.values - carried.values))
+    return _recentered_dilate(guess, width_ratio(i))
+
+
 def continuation_sweep(
     V: Field,
     schedule,
@@ -249,21 +273,36 @@ def continuation_sweep(
 ) -> list[MinimizerResult]:
     """Run minimize along an ascending coupling schedule with warm starts.
 
-    Each entry starts from the previous minimizer rescaled by the ratio of
-    predicted widths (a*-a)^(1/4), the blow-up law eps ~ (a*-a)^(1/(p+2))
-    at p = 2, even where the grid does not resolve that width (see
-    _recentered_dilate).  Per-entry non-convergence is recorded in the
-    result, not raised.
+    Without a_star each entry starts from the previous minimizer.  With it,
+    the warm starts follow the blow-up frame w(y) = eps u(x0 + eps y), whose
+    width the law eps ~ (a*-a)^(1/(p+2)) predicts, taken at p = 2.  In that
+    frame the two terms that perturb the Townes equation, (a*-a) w^3 and
+    eps^(p+2) V(x0 + eps y) w, are both proportional to a*-a, so to first
+    order w moves linearly in a.  Entry 1 starts from entry 0 dilated to
+    its predicted width.  Entry i >= 2 starts from the secant step
+
+        G = u[i-1] + theta (u[i-1] - D),  theta = (a[i]-a[i-1]) / (a[i-1]-a[i-2]),
+
+    with D the minimizer u[i-2] dilated into entry i-1's frame, and G
+    dilated into entry i's.  The dilations keep the density peak in place
+    and take the predicted width even where the grid does not resolve it
+    (see _recentered_dilate).
+
+    Each entry logs one INFO line on this module's logger.  Per-entry
+    non-convergence is recorded in the result, not raised.
     """
     schedule = ascending_schedule(schedule)
     opts = opts or MinimizerOptions()
     results: list[MinimizerResult] = []
-    init = None
     for i, a in enumerate(schedule):
-        if init is not None and a_star is not None and i > 0:
-            ell = ((a_star - schedule[i - 1]) / (a_star - a)) ** 0.25
-            init = _recentered_dilate(init, max(ell, 1.0))
+        start = time.perf_counter()
+        init = _warm_start(schedule, [r.u for r in results], a_star)
         res = minimize(V, a, grid, opts, init=init, a_star=a_star)
         results.append(res)
-        init = res.u
+        _log.info(
+            "sweep entry %d of %d: %s, %d iters, residual %.2e, eps/dx %.2f, converged %s, %.1f s",
+            i, len(schedule), f"a {a:.6g}" if a_star is None else f"a/a* {a / a_star:.6f}",
+            res.iters, res.residual, res.eps / grid.dx, str(res.converged).lower(),
+            time.perf_counter() - start,
+        )
     return results

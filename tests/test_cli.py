@@ -182,6 +182,10 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     assert written == listed
     header = (out1 / "entries.csv").read_text().splitlines()[0]
     assert header == "a,E,eps,residual,iters,converged,resolved"
+    # one progress line per entry and run, none repeated by a second handler
+    progress = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in progress] == [
+        "sweep entry 0 of 2", "sweep entry 1 of 2"] * 2
 
 
 def test_sweep_bad_potential_fails_before_townes(tmp_path, monkeypatch, capsys):

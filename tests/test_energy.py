@@ -107,23 +107,21 @@ def test_retraction_restores_unit_mass(seed, n, a, tau):
     assert mass(normalize(Field(g, np.abs(u - tau * d)))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gradient_central_difference(rng):
-    g = make_grid(8.0, 64)
-    for _ in range(3):
-        u = random_smooth_field(g, rng, width=1.5)
-        V = random_localized_potential(g, rng)
-        d = random_smooth_field(g, rng, width=2.0)
-        a = float(rng.uniform(0.0, 12.0))
-        grad = energy_gradient(u, V, a)
-        h = 1e-6
-        up = Field(g, u.values + h * d.values)
-        dn = Field(g, u.values - h * d.values)
-        fd = (
-            energy(up, V, a, check_mass=False).total
-            - energy(dn, V, a, check_mass=False).total
-        ) / (2.0 * h)
-        # half-gradient convention: dE/dt = 2 <g, d>
-        assert fd == pytest.approx(2.0 * inner(grad, d), rel=1e-6, abs=1e-9)
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, SIZES, COUPLINGS)
+def test_gradient_central_difference(seed, n, a):
+    # value/gradient consistency along a random smooth direction d
+    g, u, V = _random_state(seed, n)
+    u, V = Field(g, u), Field(g, V)
+    d = random_smooth_field(g, np.random.default_rng(seed + 1), width=2.0)
+    h = 1e-6
+    up = Field(g, u.values + h * d.values)
+    dn = Field(g, u.values - h * d.values)
+    fd = (
+        energy(up, V, a, check_mass=False).total - energy(dn, V, a, check_mass=False).total
+    ) / (2.0 * h)
+    # half-gradient convention: dE/dt = 2 <g, d>
+    assert fd == pytest.approx(2.0 * inner(energy_gradient(u, V, a), d), rel=1e-6, abs=1e-9)
 
 
 def test_dilate_validation(q0):

@@ -113,6 +113,33 @@ def test_resample_offset_matches_roll(rng):
     assert np.max(np.abs(out - rolled)) < 1e-10
 
 
+def dense_resample_affine(u, scale, offset):
+    """The interpolant at offset + scale*x as two dense 1D DFT matrix products."""
+    g = u.grid
+    k = g.k
+    x = g.x
+    # DFT indices count from x = -L, so each axis carries a phase exp(i k L)
+    ph = np.exp(1j * k * g.L)
+    uh = np.fft.fft2(u.values) * ph[:, None] * ph[None, :] / g.n**2
+    ex = np.exp(1j * np.outer(offset[0] + scale * x, k))
+    ey = np.exp(1j * np.outer(offset[1] + scale * x, k))
+    return (ey @ uh @ ex.T).real
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(8.0, 64), (12.0, 192)]),
+    st.floats(min_value=0.25, max_value=4.0),
+    st.tuples(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0)),
+)
+def test_resample_matches_dense_interpolant(seed, box, scale, offset):
+    g = make_grid(*box)
+    u = random_smooth_field(g, np.random.default_rng(seed), width=2.0)
+    expected = dense_resample_affine(u, scale, offset)
+    assert np.max(np.abs(resample_affine(u, scale, offset) - expected)) < 1e-12
+
+
 def test_shift_to_index(rng):
     g = make_grid(8.0, 32)
     u = random_smooth_field(g, rng)

@@ -5,10 +5,11 @@ import pytest
 
 from gp2d.energy import MIN_WIDTH_CELLS, Functional, dilate, energy, energy_gradient, eps_width
 from gp2d.errors import CriticalCouplingGuard, NonFiniteIterate, ResolutionExceeded
-from gp2d.grid import Field, inner, make_grid, mass
+from gp2d.grid import Field, inner, l2_norm, make_grid, mass, normalize
 from gp2d.minimizer import (
     MinimizerOptions,
     _recentered_dilate,
+    _warm_start,
     continuation_sweep,
     el_residual,
     minimize,
@@ -162,6 +163,55 @@ def test_sweep_entry_below_four_cells_reaches_the_same_minimum(a_star):
     undilated = minimize(V, schedule[1], grid, opts, init=first.u, a_star=a_star)
     assert last.converged and undilated.converged
     assert last.E == pytest.approx(undilated.E, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def geometric_sweep(a_star):
+    """A 4-entry sweep a = a* (1 - 0.05 * 0.65^k) in the benchmark's well, at n=96."""
+    grid = make_grid(12.0, 96)
+    V = realize(PowerWell(h0=0.0625, p=2.0, rcut=8.0), grid)
+    schedule = [a_star * (1.0 - 0.05 * 0.65**k) for k in range(4)]
+    opts = MinimizerOptions(tol_residual=1e-6, max_iters=20000)
+    results = continuation_sweep(V, schedule, grid, opts, a_star=a_star)
+    # entry 3 started from entry 2 carried by pure dilation, the rule before the secant
+    ell = ((a_star - schedule[2]) / (a_star - schedule[3])) ** 0.25
+    dilated = _recentered_dilate(results[2].u, ell)
+    from_dilated = minimize(V, schedule[3], grid, opts, init=dilated, a_star=a_star)
+    return schedule, results, dilated, from_dilated
+
+
+def test_secant_warm_start_reaches_the_same_minimum_in_fewer_iterations(geometric_sweep):
+    _, results, _, from_dilated = geometric_sweep
+    last = results[-1]
+    assert last.converged and from_dilated.converged
+    assert last.E == pytest.approx(from_dilated.E, abs=1e-10)
+    assert last.iters < from_dilated.iters
+
+
+def test_secant_guess_is_closer_than_the_dilation(geometric_sweep, a_star):
+    schedule, results, dilated, _ = geometric_sweep
+    guess = _warm_start(schedule, [r.u for r in results[:3]], a_star)
+    target = results[3].u
+
+    def distance(init):
+        # minimize() starts from normalize(|init|)
+        start = normalize(Field(init.grid, np.abs(init.values)))
+        return l2_norm(Field(target.grid, start.values - target.values))
+
+    assert distance(guess) < distance(dilated)
+
+
+def test_sweep_without_a_star_chains_undilated_minimizers(grid_small):
+    V = realize(PowerWell(h0=1.0, p=2.0, rcut=8.0), grid_small)
+    schedule = [1.0, 3.0, 5.0]
+    opts = MinimizerOptions(tol_residual=1e-6)
+    results = continuation_sweep(V, schedule, grid_small, opts)
+    init = None
+    for a, res in zip(schedule, results):
+        manual = minimize(V, a, grid_small, opts, init=init)
+        assert res.u.values.tobytes() == manual.u.values.tobytes()
+        assert (res.E, res.iters) == (manual.E, manual.iters)
+        init = manual.u
 
 
 def test_sweep_schedule_validation(grid_small):
