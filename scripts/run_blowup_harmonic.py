@@ -7,13 +7,14 @@ iterations, and the whole run took 89 s on a 2-core x86-64 box (Python
 3.11, numpy 2.4, scipy 1.17).  One progress line per entry goes to stderr.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
 import tempfile
 
 from gp2d.cli import run
-from gp2d.soliton import profile_to_dict, solve_townes
 
 CONFIG = """\
 potential = power_well h0=1 p=2 rcut=8
@@ -32,9 +33,10 @@ def main():
         cfg = pathlib.Path(tmp) / "sweep.cfg"
         cfg.write_text(CONFIG)
         prof = pathlib.Path(tmp) / "profile.json"
-        profile = solve_townes(tol=1e-12)
-        prof.write_text(json.dumps(profile_to_dict(profile)))
-        code = run(["blowup", "--config", str(cfg), "--profile", str(prof)])
+        with contextlib.redirect_stdout(io.StringIO()):  # gp soliton's "wrote ..." line
+            code = run(["soliton", "--out", str(prof)])
+        if code == 0:
+            code = run(["blowup", "--config", str(cfg), "--profile", str(prof)])
     if code != 0:
         return code
     fit = json.loads((out_dir / "fit.json").read_text())

@@ -9,7 +9,7 @@ import sys
 
 from gp2d.grid import make_grid
 from gp2d.minimizer import MinimizerOptions, continuation_sweep
-from gp2d.potentials import Sinc, ess_inf_estimate, realize
+from gp2d.potentials import Sinc, realize
 from gp2d.soliton import critical_coupling, solve_townes
 
 FRACTIONS = (0.9, 0.95, 0.975, 0.9875)
@@ -21,7 +21,7 @@ def main():
     grid = make_grid(16.0, 256)
     spec = Sinc()
     V = realize(spec, grid)
-    ess = ess_inf_estimate(spec)
+    ess = spec.ess_inf()
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
     results = continuation_sweep(
         V, [f * a_star for f in FRACTIONS], grid, opts, a_star=a_star

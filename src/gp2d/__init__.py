@@ -1,45 +1,3 @@
 """Numerical laboratory for the 2D attractive Gross-Pitaevskii variational problem."""
 
 __version__ = "0.1.0"
-
-from .energy import (
-    EnergyBreakdown,
-    dilate,
-    dilation_scan,
-    energy,
-    energy_gradient,
-    eps_width,
-    gn_quotient,
-    trial_state_energy,
-)
-from .grid import (
-    Field,
-    Grid2D,
-    inner,
-    kinetic,
-    l2_norm,
-    make_grid,
-    mass,
-    normalize,
-    read_gpf,
-    resample_affine,
-    write_gpf,
-)
-from .minimizer import MinimizerOptions, MinimizerResult, continuation_sweep, minimize
-from .potentials import PotentialSpec, check_v2, ess_inf_estimate, parse_potential, realize
-from .soliton import (
-    RadialProfile,
-    critical_coupling,
-    lift_to_grid,
-    radial_moment,
-    solve_townes,
-)
-from .spectrum import SpectrumReport, check_v1, ground_energy
-from .diagnostics import (
-    analyze_sweep,
-    blowup_fit,
-    classify_sequence,
-    concentration_curve,
-    distance_to_townes,
-    rescale_and_align,
-)

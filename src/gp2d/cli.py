@@ -17,14 +17,16 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .config import SweepConfig, load_config
+from .config import load_config
 from .diagnostics import analyze_sweep
 from .energy import energy
 from .errors import ConfigError, GPError, InputError, InvalidProfile, NumericalFailure
 from .grid import make_grid, normalize, read_gpf, write_gpf
 from .minimizer import MinimizerOptions, continuation_sweep, gaussian_init, minimize
-from .potentials import check_v2, ess_inf_estimate, parse_potential, realize
+from .potentials import check_v2, parse_potential, realize
 from .soliton import (
     critical_coupling,
     profile_from_dict,
@@ -50,18 +52,28 @@ def _dump_json(obj, path=None) -> str:
     return text
 
 
+def _cell(x) -> str:
+    """A CSV cell: true/false for a flag, digits for a count, else _fmt."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    return _fmt(x)
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        lines.append(",".join(_cell(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 class _Manifest:
-    """Collects everything a run writes plus the reproducibility record."""
+    """Collects everything a run writes to out_dir, plus the reproducibility record."""
 
-    def __init__(self, subcommand: str, config_echo: dict):
+    def __init__(self, subcommand: str, config_echo: dict, out_dir: Path):
         self._t0 = time.monotonic()
+        self.out_dir = out_dir
         self.data = {
             "version": __version__,
             "subcommand": subcommand,
@@ -73,19 +85,20 @@ class _Manifest:
             "notes": [],
         }
 
-    def add_output(self, path):
+    def output(self, name: str) -> Path:
+        """Path of the output file name in out_dir, listed as written."""
+        path = self.out_dir / name
         self.data["outputs"].append(str(path))
+        return path
 
     def note(self, text: str):
         self.data["notes"].append(text)
 
-    def write(self, out_dir):
+    def write(self):
         # wall time varies run to run; everything else in the manifest and
         # all numeric outputs are deterministic for a fixed config
         self.data["wall_time_s"] = time.monotonic() - self._t0
-        path = Path(out_dir) / "run_manifest.json"
-        self.data["outputs"].append(str(path))
-        _dump_json(self.data, path)
+        _dump_json(self.data, self.output("run_manifest.json"))
 
 
 class _StderrLines(logging.Handler):
@@ -172,100 +185,82 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _run_schedule(cfg: SweepConfig, manifest: _Manifest, load_profile):
-    """Shared sweep machinery: the continuation sweep over cfg's schedule.
+def _read_profile(path):
+    try:
+        return profile_from_dict(json.loads(Path(path).read_text()))
+    except OSError as exc:
+        raise ConfigError(f"cannot read profile {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidProfile(f"profile file is not valid JSON: {exc}") from exc
 
-    The potential is realized before load_profile() runs, so that a bad
-    config fails before any Townes solve.
+
+def _run_schedule(args, profile_path=None):
+    """Set-up and continuation sweep shared by gp sweep and gp blowup.
+
+    The checks run in the order config, profile file (gp blowup passes its
+    path), output directory, potential.  Without a profile file the Townes
+    profile is solved after them, so that bad input fails before that solve.
+    Returns (config, profile, manifest, results).
     """
+    cfg = load_config(args.config)
+    profile = None if profile_path is None else _read_profile(profile_path)
+    out_dir = Path(args.out or cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _Manifest(args.command, cfg.raw, out_dir)
     V = realize(cfg.potential, cfg.grid)
-    a_star = critical_coupling(load_profile())
+    if profile is None:
+        profile = _profile_cached()
+    a_star = critical_coupling(profile)
     _report_progress()
     manifest.data["grid"] = {"L": cfg.grid.L, "n": cfg.grid.n}
     manifest.data["a_star"] = a_star
-    schedule = cfg.schedule(a_star)
-    return continuation_sweep(V, schedule, cfg.grid, cfg.opts, a_star=a_star)
+    results = continuation_sweep(V, cfg.schedule(a_star), cfg.grid, cfg.opts, a_star=a_star)
+    return cfg, profile, manifest, results
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest("sweep", cfg.raw)
-    results = _run_schedule(cfg, manifest, _profile_cached)
-
-    rows = []
-    for i, res in enumerate(results):
-        fpath = out_dir / f"u_{i:03d}.gpf"
-        write_gpf(fpath, res.u)
-        manifest.add_output(fpath)
-        rows.append(
-            (
-                res.coupling,
-                res.E,
-                res.eps,
-                res.residual,
-                str(res.iters),
-                str(res.converged).lower(),
-                str(not res.resolution_warning).lower(),
-            )
-        )
-    csv_path = out_dir / "entries.csv"
-    _write_csv(csv_path, ("a", "E", "eps", "residual", "iters", "converged", "resolved"), rows)
-    manifest.add_output(csv_path)
-
+def _finish(manifest: _Manifest, results, exit_code: int = EXIT_OK) -> int:
+    """Record the unconverged couplings, write the manifest, return the exit
+    code: exit_code, or EXIT_NUMERICS when an entry did not converge."""
     failed = [r.coupling for r in results if not r.converged]
     if failed:
         manifest.data["status"] = "non_convergence"
         manifest.note(f"unconverged couplings: {failed}")
-    manifest.write(out_dir)
-    if failed:
-        print(f"{len(failed)} sweep entries did not converge", file=sys.stderr)
-        return EXIT_NUMERICS
-    print(f"sweep complete: {len(results)} entries in {out_dir}")
-    return EXIT_OK
+        exit_code = EXIT_NUMERICS
+    manifest.write()
+    return exit_code
+
+
+def cmd_sweep(args) -> int:
+    _, _, manifest, results = _run_schedule(args)
+    rows = []
+    for i, res in enumerate(results):
+        write_gpf(manifest.output(f"u_{i:03d}.gpf"), res.u)
+        rows.append((res.coupling, res.E, res.eps, res.residual, res.iters, res.converged,
+                     not res.resolution_warning))
+    header = ("a", "E", "eps", "residual", "iters", "converged", "resolved")
+    _write_csv(manifest.output("entries.csv"), header, rows)
+
+    exit_code = _finish(manifest, results)
+    if exit_code == EXIT_OK:
+        print(f"sweep complete: {len(results)} entries in {manifest.out_dir}")
+    else:
+        failed = sum(not r.converged for r in results)
+        print(f"{failed} sweep entries did not converge", file=sys.stderr)
+    return exit_code
 
 
 def cmd_blowup(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        profile = profile_from_dict(json.loads(Path(args.profile).read_text()))
-    except OSError as exc:
-        raise ConfigError(f"cannot read profile {args.profile!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidProfile(f"profile file is not valid JSON: {exc}") from exc
-
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest("blowup", cfg.raw)
-    results = _run_schedule(cfg, manifest, lambda: profile)
-
+    cfg, profile, manifest, results = _run_schedule(args, args.profile)
     report = analyze_sweep(results, profile, cfg.potential.trap)
-
     rows = [
-        (
-            e.a,
-            e.E,
-            e.eps,
-            e.l2_dist,
-            e.h1_dist,
-            res.residual,
-            str(res.iters),
-            str(res.converged).lower(),
-            str(e.resolved).lower(),
-        )
+        (e.a, e.E, e.eps, e.l2_dist, e.h1_dist, res.residual, res.iters, res.converged, e.resolved)
         for e, res in zip(report.entries, results)
     ]
-    csv_path = out_dir / "entries.csv"
     header = ("a", "E", "eps", "L2_dist", "H1_dist", "residual", "iters", "converged", "resolved")
-    _write_csv(csv_path, header, rows)
-    manifest.add_output(csv_path)
-
+    _write_csv(manifest.output("entries.csv"), header, rows)
     for i, entry in enumerate(report.entries):
         if entry.resolved:
-            fpath = out_dir / f"aligned_{i:03d}.gpf"
-            write_gpf(fpath, entry.aligned)
-            manifest.add_output(fpath)
+            write_gpf(manifest.output(f"aligned_{i:03d}.gpf"), entry.aligned)
 
     exit_code = EXIT_OK
     if report.fitted_exponent is None:
@@ -280,16 +275,9 @@ def cmd_blowup(args) -> int:
             "predicted_exponent": report.predicted_exponent,
             "predicted_prefactor": report.predicted_prefactor,
         }
-        fit_path = out_dir / "fit.json"
-        _dump_json(fit, fit_path)
-        manifest.add_output(fit_path)
+        _dump_json(fit, manifest.output("fit.json"))
 
-    failed = [r.coupling for r in results if not r.converged]
-    if failed:
-        manifest.data["status"] = "non_convergence"
-        manifest.note(f"unconverged couplings: {failed}")
-        exit_code = EXIT_NUMERICS
-    manifest.write(out_dir)
+    exit_code = _finish(manifest, results, exit_code)
     if exit_code == EXIT_OK:
         print(
             f"blow-up fit: exponent {_fmt(report.fitted_exponent)}, "
@@ -302,7 +290,7 @@ def cmd_blowup(args) -> int:
 
 def cmd_check_v1(args) -> int:
     spec, grid, V = _realized_potential(args.potential, args.L, args.n)
-    report = check_v1(V, grid, ess_inf_estimate(spec), tol=args.tol)
+    report = check_v1(V, grid, spec.ess_inf(), tol=args.tol)
     sys.stdout.write(_dump_json(asdict(report)))
     return EXIT_OK
 

@@ -26,11 +26,9 @@ class SweepEntry:
     a: float
     E: float
     eps: float
-    center: tuple
     l2_dist: float
     h1_dist: float
     resolved: bool
-    converged: bool = True
     aligned: Field | None = None  # blow-up normal form; None when eps < 2 dx
 
 
@@ -103,12 +101,11 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     for res in results:
         resolved = not res.resolution_warning
         try:
-            aligned, eps, center = rescale_and_align(res.u, profile)
+            aligned, eps, _ = rescale_and_align(res.u, profile)
             l2, h1 = distance_to_townes(aligned, profile)
         except UnderResolved:
             aligned = None
             eps = res.eps
-            center = peak_center(res.u)
             l2 = h1 = float("nan")
             resolved = False
         entries.append(
@@ -116,11 +113,9 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
                 a=res.coupling,
                 E=res.E,
                 eps=eps,
-                center=center,
                 l2_dist=l2,
                 h1_dist=h1,
                 resolved=resolved,
-                converged=res.converged,
                 aligned=aligned,
             )
         )

@@ -107,9 +107,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 def mass(u: Field) -> float:
     """L2 mass: sum(u^2) dx^2."""

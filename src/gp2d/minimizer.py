@@ -91,6 +91,13 @@ def _projected_gradient(func: Functional, u, uh):
     return pg, mu, float(np.sqrt(np.sum(pg**2) * w))
 
 
+def _refuse_near_critical(a: float, a_star: float) -> None:
+    """Raise CriticalCouplingGuard for a coupling within the criticality
+    margin of a_star: on a finite grid the infimum there is spurious."""
+    if a >= a_star * (1.0 - CRITICALITY_MARGIN):
+        raise CriticalCouplingGuard(f"a = {a} too close to the critical coupling {a_star}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # reported as NonFiniteIterate instead
 def minimize(
     V: Field,
@@ -102,17 +109,14 @@ def minimize(
 ) -> MinimizerResult:
     """Minimize E_a over the unit-mass sphere.
 
-    If a_star is supplied, couplings within the criticality margin of it are
-    refused: on a finite grid the infimum there is spurious.  Raises
-    NonFiniteIterate at the first non-finite residual or trial energy.
+    If a_star is supplied, couplings near it are refused (_refuse_near_critical).
+    Raises NonFiniteIterate at the first non-finite residual or trial energy.
     """
     opts = opts or MinimizerOptions()
     if not (np.isfinite(a) and a >= 0):
         raise ValueError(f"coupling must be finite and nonnegative, got {a}")
-    if a_star is not None and a >= a_star * (1.0 - CRITICALITY_MARGIN):
-        raise CriticalCouplingGuard(
-            f"a = {a} too close to the critical coupling {a_star}"
-        )
+    if a_star is not None:
+        _refuse_near_critical(a, a_star)
 
     func = Functional(grid, V.values, a)
     k2r = func.k2r
@@ -153,7 +157,7 @@ def minimize(
                 tau = min(tau / BACKTRACK_FACTOR, STEP_INIT)
         else:
             tau = STEP_INIT
-        prev_u = uvals.copy()
+        prev_u = uvals  # rebound below, never written in place
         prev_pg = pg
         accepted = False
         while tau > 1e-14:
@@ -187,7 +191,6 @@ def minimize(
                 break
             prev_u = None
             prev_pg = None
-            tau = STEP_INIT
             continue
         stalls = 0
         trace.append(E)
@@ -250,8 +253,6 @@ def _warm_start(schedule, fields, a_star):
     i = len(fields)
     if i == 0:
         return None
-    if a_star is None:
-        return fields[-1]
 
     def width_ratio(j):
         return max(((a_star - schedule[j - 1]) / (a_star - schedule[j])) ** 0.25, 1.0)
@@ -269,12 +270,12 @@ def continuation_sweep(
     schedule,
     grid: Grid2D,
     opts: MinimizerOptions | None = None,
-    a_star: float | None = None,
+    *,
+    a_star: float,
 ) -> list[MinimizerResult]:
     """Run minimize along an ascending coupling schedule with warm starts.
 
-    Without a_star each entry starts from the previous minimizer.  With it,
-    the warm starts follow the blow-up frame w(y) = eps u(x0 + eps y), whose
+    The warm starts follow the blow-up frame w(y) = eps u(x0 + eps y), whose
     width the law eps ~ (a*-a)^(1/(p+2)) predicts, taken at p = 2.  In that
     frame the two terms that perturb the Townes equation, (a*-a) w^3 and
     eps^(p+2) V(x0 + eps y) w, are both proportional to a*-a, so to first
@@ -288,10 +289,13 @@ def continuation_sweep(
     and take the predicted width even where the grid does not resolve it
     (see _recentered_dilate).
 
-    Each entry logs one INFO line on this module's logger.  Per-entry
-    non-convergence is recorded in the result, not raised.
+    A schedule that ends within the criticality margin of a_star is refused
+    before entry 0 runs.  Each entry logs one INFO line on this module's
+    logger.  Per-entry non-convergence is recorded in the result, not raised.
     """
     schedule = ascending_schedule(schedule)
+    if schedule:
+        _refuse_near_critical(schedule[-1], a_star)
     opts = opts or MinimizerOptions()
     results: list[MinimizerResult] = []
     for i, a in enumerate(schedule):
@@ -300,9 +304,9 @@ def continuation_sweep(
         res = minimize(V, a, grid, opts, init=init, a_star=a_star)
         results.append(res)
         _log.info(
-            "sweep entry %d of %d: %s, %d iters, residual %.2e, eps/dx %.2f, converged %s, %.1f s",
-            i, len(schedule), f"a {a:.6g}" if a_star is None else f"a/a* {a / a_star:.6f}",
-            res.iters, res.residual, res.eps / grid.dx, str(res.converged).lower(),
-            time.perf_counter() - start,
+            "sweep entry %d of %d: a/a* %.6f, %d iters, residual %.2e, eps/dx %.2f, "
+            "converged %s, %.1f s",
+            i, len(schedule), a / a_star, res.iters, res.residual, res.eps / grid.dx,
+            str(res.converged).lower(), time.perf_counter() - start,
         )
     return results

@@ -53,7 +53,7 @@ class PotentialSpec(ABC):
 
     @abstractmethod
     def ess_inf(self) -> float:
-        """Essential infimum of V."""
+        """Essential infimum of V: exact, or for a file estimated from its samples."""
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,6 @@ def realize(spec: PotentialSpec, grid: Grid2D) -> Field:
     return spec.sample(grid)
 
 
-def ess_inf_estimate(spec: PotentialSpec) -> float:
-    """Essential infimum of V: exact, or for a file estimated from its samples."""
-    return spec.ess_inf()
-
-
 @dataclass(frozen=True)
 class V2Report:
     conv_min_value: float
@@ -268,7 +263,7 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
         conv2 = convolve_potential(realize(spec, big), _embed_doubled(dens, big))
         stable = abs(float(np.min(conv2.values)) - vmin) < 1e-3 * max(1.0, abs(vmin))
 
-    margin = vmin - (ess_inf_estimate(spec) + eps)
+    margin = vmin - (spec.ess_inf() + eps)
     return V2Report(
         conv_min_value=vmin,
         conv_min_location=loc,

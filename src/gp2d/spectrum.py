@@ -47,7 +47,7 @@ def check_v1(V: Field, grid: Grid2D, ess_inf_V: float, tol: float = 1e-6) -> Spe
     """Spectral-gap report: passes iff lambda0 - ess inf V > tol.
 
     ess_inf_V is the essential infimum of V, e.g. from
-    potentials.ess_inf_estimate; the grid minimum of V would only bound it
+    PotentialSpec.ess_inf(); the grid minimum of V would only bound it
     from above.
     """
     lam, _, residual = ground_energy(V, grid, tol=min(tol, 1e-8))

@@ -16,7 +16,7 @@ from gp2d.diagnostics import analyze_sweep, classify_sequence, concentration_cur
 from gp2d.energy import dilate, dilation_scan, energy, energy_gradient, gn_quotient
 from gp2d.grid import Field, inner, make_grid, normalize
 from gp2d.minimizer import MinimizerOptions, continuation_sweep
-from gp2d.potentials import Lattice, PowerWell, Sinc, ess_inf_estimate, realize
+from gp2d.potentials import Lattice, PowerWell, Sinc, realize
 from gp2d.soliton import critical_coupling, lift_to_grid, solve_townes
 from gp2d.spectrum import check_v1, ground_energy
 from helpers import random_localized_potential, random_smooth_field
@@ -104,7 +104,7 @@ def test_criterion_4_profile_convergence(harmonic_sweep):
 def test_criterion_5_energy_limit(profile, a_star, grid16):
     spec = Sinc()
     V = realize(spec, grid16)
-    ess = ess_inf_estimate(spec)
+    ess = spec.ess_inf()
     schedule = [f * a_star for f in (0.9, 0.95, 0.975, 0.9875)]
     opts = MinimizerOptions(tol_residual=3e-6, max_iters=40000)
     results = continuation_sweep(V, schedule, grid16, opts, a_star=a_star)
@@ -128,7 +128,7 @@ def test_criterion_6_supercritical_instability(profile, a_star, grid512):
     V = Field(grid512, np.roll(V.values, (i0 - iy, i0 - ix), axis=(0, 1)))
     u = lift_to_grid(profile, grid512)
     totals = [b.total for b in dilation_scan(u, V, 1.1 * a_star, (1.0, 2.0, 4.0))]
-    ess = ess_inf_estimate(spec)
+    ess = spec.ess_inf()
     ok = totals[0] > totals[1] > totals[2] and totals[2] < ess - 1.0
     report(6, ok, f"scan={np.round(totals, 3).tolist()}, ess inf-1={ess - 1.0:.3f}")
 

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gp2d.cli as cli
+import gp2d.minimizer as minimizer
 from gp2d.cli import run
 from gp2d.energy import energy
 from gp2d.errors import GPError
@@ -175,10 +177,8 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     assert manifest["status"] == "ok"
     assert manifest["a_star"] == pytest.approx(11.7009, abs=1e-3)
     # manifest lists every file the run wrote
-    import pathlib
-
-    written = {p.name for p in pathlib.Path(out1).iterdir()}
-    listed = {pathlib.Path(p).name for p in manifest["outputs"]}
+    written = {p.name for p in out1.iterdir()}
+    listed = {Path(p).name for p in manifest["outputs"]}
     assert written == listed
     header = (out1 / "entries.csv").read_text().splitlines()[0]
     assert header == "a,E,eps,residual,iters,converged,resolved"
@@ -219,6 +219,42 @@ def test_sweep_bad_schedule_fails_before_townes(tmp_path, monkeypatch, capsys, s
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_sweep_reaching_the_criticality_margin_fails_before_entry_0(tmp_path, monkeypatch, capsys):
+    def no_entry(*args, **kwargs):
+        raise AssertionError("a sweep entry ran before its last coupling was checked")
+
+    monkeypatch.setattr(minimizer, "minimize", no_entry)
+    cfg = tmp_path / "sweep.cfg"
+    # entry 9 is the first with 0.05 * 0.5^k below the criticality margin
+    cfg.write_text(
+        "potential = zero\nL = 8\nn = 16\na_schedule = geom:0.05,0.5,12\nmax_iters = 50\n"
+        f"out_dir = {tmp_path / 'rep'}\n"
+    )
+    assert run(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "critical coupling" in err and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_unconverged_exits_3(tmp_path, capsys):
+    out = tmp_path / "rep"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "potential = sinc\nL = 12\nn = 64\na_schedule = geom:0.2,0.5,2\nmax_iters = 1\n"
+        f"out_dir = {out}\n"
+    )
+    assert run(["sweep", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "2 sweep entries did not converge"
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "non_convergence"
+    assert len(manifest["notes"]) == 1
+    assert manifest["notes"][0].startswith("unconverged couplings: ")
+    written = {p.name for p in out.iterdir()}
+    assert written == {Path(p).name for p in manifest["outputs"]}
+    assert written == {"u_000.gpf", "u_001.gpf", "entries.csv", "run_manifest.json"}
+    rows = (out / "entries.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4:6] for row in rows] == [["1", "false"]] * 2
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_iterate_exits_3(capsys):
     # V of order 1e300 overflows the residual on the first iteration
@@ -257,6 +293,26 @@ def test_blowup_insufficient_exits_3(tmp_path):
     assert not (out / "fit.json").exists()
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["status"] == "InsufficientData"
+
+
+def test_blowup_unconverged_and_insufficient_exits_3(tmp_path):
+    prof = tmp_path / "p.json"
+    assert run(["soliton", "--tol", "1e-8", "--out", str(prof)]) == 0
+    out = tmp_path / "bu"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "potential = power_well h0=1 p=2 rcut=8\nL = 12\nn = 128\n"
+        f"a_schedule = geom:0.3,0.8,2\ntol = 1e-6\nmax_iters = 5\nout_dir = {out}\n"
+    )
+    assert run(["blowup", "--config", str(cfg), "--profile", str(prof)]) == 3
+    assert not (out / "fit.json").exists()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "non_convergence"
+    first, second = manifest["notes"]
+    assert first == "fewer than 3 resolved entries; fit.json not written"
+    assert second.startswith("unconverged couplings: ")
+    written = {p.name for p in out.iterdir()}
+    assert written == {Path(p).name for p in manifest["outputs"]}
 
 
 def test_blowup_writes_fit_and_aligned_entries(tmp_path):

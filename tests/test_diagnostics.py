@@ -61,7 +61,6 @@ def test_blowup_fit_recovers_power_law():
             a=11.7 - da,
             E=0.0,
             eps=0.52 * da**0.25,
-            center=(0.0, 0.0),
             l2_dist=0.0,
             h1_dist=0.0,
             resolved=True,
@@ -80,7 +79,7 @@ def test_blowup_fit_recovers_power_law():
 
 def test_blowup_fit_insufficient():
     entries = [
-        SweepEntry(a=11.0, E=0.0, eps=0.5, center=(0, 0), l2_dist=0, h1_dist=0, resolved=False)
+        SweepEntry(a=11.0, E=0.0, eps=0.5, l2_dist=0, h1_dist=0, resolved=False)
     ] * 5
 
     class P:

@@ -201,24 +201,11 @@ def test_secant_guess_is_closer_than_the_dilation(geometric_sweep, a_star):
     assert distance(guess) < distance(dilated)
 
 
-def test_sweep_without_a_star_chains_undilated_minimizers(grid_small):
-    V = realize(PowerWell(h0=1.0, p=2.0, rcut=8.0), grid_small)
-    schedule = [1.0, 3.0, 5.0]
-    opts = MinimizerOptions(tol_residual=1e-6)
-    results = continuation_sweep(V, schedule, grid_small, opts)
-    init = None
-    for a, res in zip(schedule, results):
-        manual = minimize(V, a, grid_small, opts, init=init)
-        assert res.u.values.tobytes() == manual.u.values.tobytes()
-        assert (res.E, res.iters) == (manual.E, manual.iters)
-        init = manual.u
-
-
-def test_sweep_schedule_validation(grid_small):
+def test_sweep_schedule_validation(grid_small, a_star):
     with pytest.raises(ValueError):
-        continuation_sweep(zero_potential(grid_small), [2.0, 1.0], grid_small)
+        continuation_sweep(zero_potential(grid_small), [2.0, 1.0], grid_small, a_star=a_star)
     with pytest.raises(ValueError):
-        continuation_sweep(zero_potential(grid_small), [1.0, np.nan], grid_small)
+        continuation_sweep(zero_potential(grid_small), [1.0, np.nan], grid_small, a_star=a_star)
 
 
 def test_continuation_sweep(grid16, a_star):

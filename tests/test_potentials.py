@@ -11,7 +11,6 @@ from gp2d.potentials import (
     Sinc,
     Zero,
     check_v2,
-    ess_inf_estimate,
     parse_potential,
     realize,
 )
@@ -78,7 +77,7 @@ def test_lattice_range(grid16):
     V = realize(spec, grid16)
     assert V.values.min() == pytest.approx(-1.0)
     assert V.values.max() == pytest.approx(1.0)
-    assert ess_inf_estimate(spec) == pytest.approx(-1.0)
+    assert spec.ess_inf() == pytest.approx(-1.0)
 
 
 def test_sinc_shape(grid16):
@@ -109,10 +108,9 @@ def test_file_potential_round_trip(tmp_path, grid_small):
 
 
 def test_ess_inf_analytic():
-    assert ess_inf_estimate(Zero()) == 0.0
-    assert ess_inf_estimate(Constant(c=-3.0)) == -3.0
-    assert ess_inf_estimate(PowerWell()) == 0.0
-    assert ess_inf_estimate(Sinc()) == Sinc().ess_inf()
+    assert Zero().ess_inf() == 0.0
+    assert Constant(c=-3.0).ess_inf() == -3.0
+    assert PowerWell().ess_inf() == 0.0
 
 
 def gaussian(grid, center=(0.0, 0.0), width=1.0):
