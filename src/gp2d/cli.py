@@ -25,7 +25,13 @@ from .diagnostics import analyze_sweep
 from .energy import energy
 from .errors import ConfigError, GPError, InputError, InvalidProfile, NumericalFailure
 from .grid import make_grid, normalize, read_gpf, write_gpf
-from .minimizer import MinimizerOptions, continuation_sweep, gaussian_init, minimize
+from .minimizer import (
+    MinimizerOptions,
+    _refuse_near_critical,
+    continuation_sweep,
+    gaussian_init,
+    minimize,
+)
 from .potentials import check_v2, parse_potential, realize
 from .soliton import (
     critical_coupling,
@@ -197,24 +203,26 @@ def _read_profile(path):
 def _run_schedule(args, profile_path=None):
     """Set-up and continuation sweep shared by gp sweep and gp blowup.
 
-    The checks run in the order config, profile file (gp blowup passes its
-    path), output directory, potential.  Without a profile file the Townes
-    profile is solved after them, so that bad input fails before that solve.
-    Returns (config, profile, manifest, results).
+    The steps run in the order config, profile file (gp blowup passes its
+    path), potential, Townes solve (without a profile file), refusal of a
+    schedule that reaches the criticality margin, output directory: bad
+    input fails before the Townes solve, and a refused run leaves no
+    directory.  Returns (config, profile, manifest, results).
     """
     cfg = load_config(args.config)
     profile = None if profile_path is None else _read_profile(profile_path)
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(args.command, cfg.raw, out_dir)
+    manifest = _Manifest(args.command, cfg.raw, Path(args.out or cfg.out_dir))
     V = realize(cfg.potential, cfg.grid)
     if profile is None:
         profile = _profile_cached()
     a_star = critical_coupling(profile)
+    schedule = cfg.schedule(a_star)
+    _refuse_near_critical(schedule[-1], a_star)
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     _report_progress()
     manifest.data["grid"] = {"L": cfg.grid.L, "n": cfg.grid.n}
     manifest.data["a_star"] = a_star
-    results = continuation_sweep(V, cfg.schedule(a_star), cfg.grid, cfg.opts, a_star=a_star)
+    results = continuation_sweep(V, schedule, cfg.grid, cfg.opts, a_star=a_star)
     return cfg, profile, manifest, results
 
 

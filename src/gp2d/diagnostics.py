@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .energy import eps_width
 from .errors import InsufficientData, UnderResolved
 from .grid import Field, kinetic, l2_norm, peak_location, resample_affine
 from .soliton import RadialProfile, lift_to_grid, radial_moment
@@ -59,26 +58,23 @@ def peak_center(u: Field) -> tuple:
     return peak_location(u.grid, u.values**2)
 
 
-def rescale_and_align(u: Field, profile: RadialProfile):
+def rescale_and_align(u: Field, eps: float):
     """Blow-up normal form: aligned(x) = eps * u(center + eps x).
 
-    Returns (aligned field, eps, center).  The aligned field is sampled by
-    spectral interpolation on u's own grid and should be compared against
-    the lifted normalized Townes profile at the origin.
+    eps is u's gradient width as the minimizer reports it (MinimizerResult.eps).
+    Returns (aligned field, center).  The aligned field is sampled by spectral
+    interpolation on u's grid, to compare with the lifted unit-mass Townes profile.
     """
     g = u.grid
-    eps = eps_width(u)
     if eps < 2.0 * g.dx:
         raise UnderResolved(f"width {eps:.4g} below 2 dx = {2 * g.dx:.4g}")
     center = peak_center(u)
-    vals = eps * resample_affine(u, eps, offset=center)
-    aligned = Field(g, vals)
-    return aligned, float(eps), center
+    return Field(g, eps * resample_affine(u, eps, offset=center)), center
 
 
-def distance_to_townes(aligned: Field, profile: RadialProfile):
-    """(L2, H1) distances between an aligned field and the unit-mass profile."""
-    q0 = lift_to_grid(profile, aligned.grid)
+def distance_to_townes(aligned: Field, q0: Field):
+    """(L2, H1) distances between an aligned field and q0, the unit-mass
+    Townes profile lifted to the same grid (soliton.lift_to_grid)."""
     diff = Field(aligned.grid, aligned.values - q0.values)
     l2 = l2_norm(diff)
     h1 = float(np.sqrt(l2**2 + kinetic(diff)))
@@ -88,35 +84,35 @@ def distance_to_townes(aligned: Field, profile: RadialProfile):
 def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     """Build per-entry blow-up records from minimizer results and fit eps(a).
 
-    Each entry is aligned once (rescale_and_align) and carries the aligned
-    field.  An entry is resolved when its minimizer raised no resolution
-    warning (eps of at least energy.MIN_WIDTH_CELLS cells); only resolved
-    entries enter the fit.  Entries narrower than 2 cells are not aligned
-    and get NaN distances.
+    Each entry keeps its minimizer's width and resolved flag (res.eps, and
+    no resolution warning: eps of at least energy.MIN_WIDTH_CELLS cells);
+    only resolved entries enter the fit.  Each entry is aligned once
+    (rescale_and_align) and carries the aligned field; entries narrower than
+    2 cells are not aligned and get NaN distances.
 
     trap, the potential's trap law (p, h0) when it has one (PotentialSpec.trap),
     adds the predicted exponent 1/(p+2) and prefactor to the report.
     """
-    entries = []
+    aligned = []
     for res in results:
-        resolved = not res.resolution_warning
         try:
-            aligned, eps, _ = rescale_and_align(res.u, profile)
-            l2, h1 = distance_to_townes(aligned, profile)
+            aligned.append(rescale_and_align(res.u, res.eps)[0])
         except UnderResolved:
-            aligned = None
-            eps = res.eps
-            l2 = h1 = float("nan")
-            resolved = False
+            aligned.append(None)
+    # lifted after the alignments, whose transforms set the memory peak
+    q0 = lift_to_grid(profile, results[0].u.grid) if results else None
+    entries = []
+    for res, w in zip(results, aligned):
+        l2, h1 = (np.nan, np.nan) if w is None else distance_to_townes(w, q0)
         entries.append(
             SweepEntry(
                 a=res.coupling,
                 E=res.E,
-                eps=eps,
+                eps=res.eps,
                 l2_dist=l2,
                 h1_dist=h1,
-                resolved=resolved,
-                aligned=aligned,
+                resolved=not res.resolution_warning,
+                aligned=w,
             )
         )
     report = SweepReport(entries=entries)

@@ -21,11 +21,9 @@ from scipy import fft
 
 from .errors import DegenerateField, ResolutionExceeded, UnnormalizedInput
 from .grid import Field, Grid2D, kinetic, mass, normalize, resample_affine
-from .soliton import RadialProfile
 
 MASS_TOL = 1e-8
 MIN_WIDTH_CELLS = 4.0  # a width eps below this many cells dx is unresolved
-BUMP_INNER, BUMP_OUTER = 1.0, 2.0  # the trial state's cut-off: 1 inside, 0 outside
 
 
 @dataclass(frozen=True)
@@ -156,38 +154,3 @@ def dilation_scan(u: Field, V: Field, a: float, scales) -> list[EnergyBreakdown]
     for ell in scales:
         out.append(energy(dilate(u, float(ell)), V, a))
     return out
-
-
-def smooth_bump(r: np.ndarray) -> np.ndarray:
-    """Quintic smoothstep bump: 1 on r <= BUMP_INNER, 0 on r >= BUMP_OUTER."""
-    t = np.clip((BUMP_OUTER - r) / (BUMP_OUTER - BUMP_INNER), 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-
-
-def trial_state_energy(
-    grid: Grid2D,
-    profile: RadialProfile,
-    V: Field,
-    a: float,
-    x0=(0.0, 0.0),
-    ell: float = 1.0,
-) -> float:
-    """Energy of the concentrating cut-off trial state
-
-        u(x) = A * bump(x - x0) * Q0(ell (x - x0)) * ell
-
-    with A the unit-mass normalizer.  Upper-bounds the ground energy."""
-    if ell < 1.0:
-        raise ValueError(f"concentration scale must be >= 1, got {ell}")
-    if BUMP_OUTER > grid.L:
-        raise ResolutionExceeded("cut-off support does not fit the box")
-    # crude guard: the concentrated core must stay resolvable
-    if 1.0 / ell < 2.0 * grid.dx:
-        raise ResolutionExceeded(f"scale {ell} under-resolved on dx={grid.dx}")
-    rr = grid.radius(x0)
-    spl = profile.spline()
-    r_mesh_end = float(profile.r[-1])
-    core = np.where(rr * ell <= r_mesh_end, spl(np.minimum(rr * ell, r_mesh_end)), 0.0)
-    vals = ell * smooth_bump(rr) * core / np.sqrt(profile.mass)
-    u = normalize(Field(grid, vals))
-    return energy(u, V, a).total

@@ -48,12 +48,6 @@ class Grid2D:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     @property
-    def k2(self) -> np.ndarray:
-        """|k|^2 on the 2D spectral grid (ky along axis 0)."""
-        k = self.k
-        return k[:, None] ** 2 + k[None, :] ** 2
-
-    @property
     def k2r(self) -> np.ndarray:
         """|k|^2 on the half-spectrum grid used with rfft2."""
         k = self.k
@@ -72,11 +66,6 @@ class Grid2D:
     def weight(self) -> float:
         """Quadrature weight dx^2 of the periodic trapezoid rule."""
         return self.dx * self.dx
-
-    def meshgrid(self):
-        """(X, Y) sample coordinates, row-major (y-major, x-minor)."""
-        x = self.x
-        return np.meshgrid(x, x, indexing="xy")
 
     def radius(self, center=(0.0, 0.0)) -> np.ndarray:
         """Minimal-image distance from ``center`` at every sample."""

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .energy import MIN_WIDTH_CELLS, Functional, energy_gradient, resample_dilation
+from .energy import MIN_WIDTH_CELLS, Functional, resample_dilation
 from .errors import CriticalCouplingGuard, NonFiniteIterate
-from .grid import Field, Grid2D, inner, l2_norm, normalize, shift_to_index
+from .grid import Field, Grid2D, normalize, shift_to_index
 
 CRITICALITY_MARGIN = 1e-4
 STEP_INIT = 0.5
@@ -126,7 +126,6 @@ def minimize(
     uh = fft.rfft2(uvals)
     E = func.energy(uvals, uh).total
     trace = [E]
-    tau = STEP_INIT
     residual = np.inf
     converged = accepted = False
     iters = 0
@@ -214,14 +213,6 @@ def minimize(
         flips=flips,
         energy_trace=trace,
     )
-
-
-def el_residual(result: MinimizerResult, V: Field, a: float) -> float:
-    """Euler-Lagrange residual ||-Lap u + V u - a u^3 - mu u|| (diagnostic)."""
-    u = result.u
-    g = energy_gradient(u, V, a)
-    mu = inner(g, u)
-    return l2_norm(Field(u.grid, g.values - mu * u.values))
 
 
 def _recentered_dilate(u: Field, ell: float) -> Field:

@@ -8,6 +8,7 @@ the essential infimum of V strictly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NonConvergence
@@ -48,8 +49,10 @@ def check_v1(V: Field, grid: Grid2D, ess_inf_V: float, tol: float = 1e-6) -> Spe
 
     ess_inf_V is the essential infimum of V, e.g. from
     PotentialSpec.ess_inf(); the grid minimum of V would only bound it
-    from above.
+    from above.  tol must be finite and positive (ValueError otherwise).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     lam, _, residual = ground_energy(V, grid, tol=min(tol, 1e-8))
     margin = lam - ess_inf_V
     return SpectrumReport(

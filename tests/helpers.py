@@ -15,7 +15,8 @@ def random_smooth_field(grid: Grid2D, rng: np.random.Generator, width: float = 1
     n = grid.n
     noise = rng.standard_normal((n, n))
     kcut = 6.0 * np.pi / grid.L
-    mask = grid.k2 <= kcut**2
+    k = grid.k
+    mask = k[:, None] ** 2 + k[None, :] ** 2 <= kcut**2
     smooth = np.fft.ifft2(np.fft.fft2(noise) * mask).real
     rr = grid.radius()
     vals = smooth * np.exp(-(rr**2) / (2.0 * width**2))

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -84,6 +85,7 @@ def test_odd_sample_count_exits_2(argv, capsys):
           "--max-iters", "50"], None),
         (["sweep"], "potential = zero\nL = nan\nn = 16\na_schedule = 1\n"),
         (["sweep"], "potential = zero\nL = 8\nn = 16\na_schedule = nan\nmax_iters = 50\n"),
+        (["check-v1", "--potential", "sinc", "--L", "8", "--n", "32", "--tol", "inf"], None),
     ],
 )
 def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
@@ -95,6 +97,27 @@ def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["soliton", "--tol", "1e-3", "--out", "{tmp}/p.json"],
+        ["soliton", "--mesh-size", "100", "--out", "{tmp}/p.json"],
+        ["energy", "--field", "{tmp}/u64.gpf", "--potential", "{tmp}/v32.gpf", "--a", "1"],
+        ["check-v2", "--potential", "sinc", "--L", "8", "--n", "64", "--field", "{tmp}/u32.gpf"],
+    ],
+)
+def test_refused_subcommand_inputs_exit_2(argv, tmp_path, capsys):
+    g32, g64 = make_grid(8.0, 32), make_grid(8.0, 64)
+    write_gpf(tmp_path / "u32.gpf", gaussian(g32))
+    write_gpf(tmp_path / "v32.gpf", Field(g32, np.cos(g32.radius())))
+    write_gpf(tmp_path / "u64.gpf", gaussian(g64))
+    assert run([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -154,6 +177,18 @@ def test_minimize_writes_outputs(tmp_path):
     assert res["E"] == pytest.approx(-6.0 / 800.0, abs=1e-7)
     u = read_gpf(field_path)
     assert u.grid.n == 64
+
+
+def test_minimize_unconverged_exits_3_and_writes_its_result(tmp_path, capsys):
+    out = tmp_path / "res.json"
+    argv = ["minimize", "--potential", "sinc", "--a", "5", "--L", "12", "--n", "64",
+            "--max-iters", "1", "--out", str(out)]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["minimizer did not reach the residual tolerance"]
+    res = json.loads(out.read_text())
+    assert res["converged"] is False
+    assert res["iters"] == 1
 
 
 @pytest.mark.parametrize("a", ["11.7", "12.5"])
@@ -224,15 +259,17 @@ def test_sweep_reaching_the_criticality_margin_fails_before_entry_0(tmp_path, mo
         raise AssertionError("a sweep entry ran before its last coupling was checked")
 
     monkeypatch.setattr(minimizer, "minimize", no_entry)
+    out = tmp_path / "rep"
     cfg = tmp_path / "sweep.cfg"
     # entry 9 is the first with 0.05 * 0.5^k below the criticality margin
     cfg.write_text(
         "potential = zero\nL = 8\nn = 16\na_schedule = geom:0.05,0.5,12\nmax_iters = 50\n"
-        f"out_dir = {tmp_path / 'rep'}\n"
+        f"out_dir = {out}\n"
     )
     assert run(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "critical coupling" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_sweep_unconverged_exits_3(tmp_path, capsys):
@@ -352,6 +389,27 @@ def test_blowup_writes_fit_and_aligned_entries(tmp_path):
         aligned = read_gpf(out / f"aligned_{i:03d}.gpf")
         assert cells[-1] == "true"
         assert l2_norm(Field(q0.grid, aligned.values - q0.values)) == float(cells[3])
+
+
+def test_sweep_and_blowup_write_the_same_entry_cells(tmp_path):
+    # one width per minimizer: gp blowup reports the eps gp sweep reports
+    prof = tmp_path / "p.json"
+    assert run(["soliton", "--out", str(prof)]) == 0
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(
+        "potential = power_well h0=0.0625 p=2 rcut=8\nL = 12\nn = 96\n"
+        "a_schedule = geom:0.05,0.65,5\ntol = 1e-6\n"
+    )
+    sweep, blowup = tmp_path / "sweep", tmp_path / "blowup"
+    assert run(["sweep", "--config", str(cfg), "--out", str(sweep)]) == 0
+    # every entry is narrower than 4 cells here, so the fit has no data
+    assert run(["blowup", "--config", str(cfg), "--profile", str(prof), "--out", str(blowup)]) == 3
+    with open(sweep / "entries.csv") as f:
+        swept = list(csv.DictReader(f))
+    with open(blowup / "entries.csv") as f:
+        analyzed = [{key: row[key] for key in swept[0]} for row in csv.DictReader(f)]
+    assert len(swept) == 5
+    assert analyzed == swept
 
 
 def test_blowup_missing_profile_exits_2(tmp_path):

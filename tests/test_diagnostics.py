@@ -12,7 +12,7 @@ from gp2d.diagnostics import (
     peak_center,
     rescale_and_align,
 )
-from gp2d.energy import dilate
+from gp2d.energy import dilate, eps_width
 from gp2d.errors import InsufficientData
 from gp2d.grid import Field, normalize
 from gp2d.soliton import lift_to_grid
@@ -32,19 +32,21 @@ def test_peak_center_subgrid(grid16):
 
 def test_align_recovers_townes(profile, grid16):
     u = lift_to_grid(profile, grid16, center=(2.0, -3.0))
-    aligned, eps, center = rescale_and_align(u, profile)
+    eps = eps_width(u)
     assert eps == pytest.approx(1.0, rel=1e-6)
+    aligned, center = rescale_and_align(u, eps)
     assert center[0] == pytest.approx(2.0, abs=grid16.dx / 5)
-    l2, h1 = distance_to_townes(aligned, profile)
+    l2, h1 = distance_to_townes(aligned, lift_to_grid(profile, grid16))
     assert l2 < 1e-6
     assert h1 < 1e-4
 
 
 def test_align_dilation_covariance(profile, q0_512):
     narrow = dilate(q0_512, 4.0)
-    aligned, eps, _ = rescale_and_align(narrow, profile)
+    eps = eps_width(narrow)
     assert eps == pytest.approx(0.25, rel=1e-4)
-    l2, _ = distance_to_townes(aligned, profile)
+    aligned, _ = rescale_and_align(narrow, eps)
+    l2, _ = distance_to_townes(aligned, q0_512)
     assert l2 < 1e-3
 
 

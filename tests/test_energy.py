@@ -12,7 +12,6 @@ from gp2d.energy import (
     energy_gradient,
     eps_width,
     gn_quotient,
-    trial_state_energy,
 )
 from gp2d.errors import DegenerateField, ResolutionExceeded, UnnormalizedInput
 from gp2d.grid import Field, inner, make_grid, mass, normalize
@@ -143,32 +142,14 @@ def test_dilation_scaling(q0_512, grid512):
 
 def test_dilation_scan_critical(q0_512, a_star, grid512):
     # at the critical coupling the scan stays flat near zero
-    totals = [br.total for br in dilation_scan(q0_512, zero_potential(grid512), a_star, (1, 2, 4))]
+    scales = (1, 2, 4)
+    totals = [br.total for br in dilation_scan(q0_512, zero_potential(grid512), a_star, scales)]
     assert all(abs(t) < 1e-5 for t in totals)
+    # adding a constant c to V shifts every energy of the scan by exactly c
+    Vc = Field(grid512, np.full((grid512.n, grid512.n), 0.7))
+    shifted = [br.total for br in dilation_scan(q0_512, Vc, a_star, scales)]
+    assert shifted == pytest.approx([t + 0.7 for t in totals], rel=1e-10)
 
 
 def test_eps_width(q0):
     assert eps_width(q0) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_trial_state_reaches_zero(profile, grid512, a_star):
-    # concentrating trial states push the V=0 critical energy to 0 from above
-    V = zero_potential(grid512)
-    vals = [trial_state_energy(grid512, profile, V, a_star, ell=ell) for ell in (1.0, 2.0, 4.0)]
-    assert vals[0] > vals[1] > vals[2]
-    # past ell=4 the core width hits the 4-cell resolution floor on this grid
-    assert abs(vals[2]) < 1e-3
-
-
-def test_trial_state_constant_shift(profile, grid16, a_star):
-    # adding a constant c to V shifts the trial energy by exactly c
-    V0 = zero_potential(grid16)
-    Vc = Field(grid16, np.full((grid16.n, grid16.n), 0.7))
-    e0 = trial_state_energy(grid16, profile, V0, a_star, ell=4.0)
-    ec = trial_state_energy(grid16, profile, Vc, a_star, ell=4.0)
-    assert ec - e0 == pytest.approx(0.7, rel=1e-10)
-
-
-def test_trial_state_validation(profile, grid16, a_star):
-    with pytest.raises(ValueError):
-        trial_state_energy(grid16, profile, zero_potential(grid16), a_star, ell=0.5)
