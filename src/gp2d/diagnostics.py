@@ -53,22 +53,17 @@ class Classification:
     lam: float | None = None
 
 
-def peak_center(u: Field) -> tuple:
-    """Density argmax refined by a separable quadratic fit."""
-    return peak_location(u.grid, u.values**2)
-
-
 def rescale_and_align(u: Field, eps: float):
     """Blow-up normal form: aligned(x) = eps * u(center + eps x).
 
     eps is u's gradient width as the minimizer reports it (MinimizerResult.eps).
-    Returns (aligned field, center).  The aligned field is sampled by spectral
-    interpolation on u's grid, to compare with the lifted unit-mass Townes profile.
+    Returns (aligned field, center), center the sub-grid density peak.  The aligned field
+    is sampled by spectral interpolation on u's grid, to compare with the Townes profile.
     """
     g = u.grid
     if eps < 2.0 * g.dx:
         raise UnderResolved(f"width {eps:.4g} below 2 dx = {2 * g.dx:.4g}")
-    center = peak_center(u)
+    center = peak_location(g, u.values**2)
     return Field(g, eps * resample_affine(u, eps, offset=center)), center
 
 

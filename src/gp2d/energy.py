@@ -20,7 +20,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import DegenerateField, ResolutionExceeded, UnnormalizedInput
-from .grid import Field, Grid2D, kinetic, mass, normalize, resample_affine
+from .grid import Field, Grid2D, kinetic, mass, normalize, require_same_grid, resample_affine
 
 MASS_TOL = 1e-8
 MIN_WIDTH_CELLS = 4.0  # a width eps below this many cells dx is unresolved
@@ -33,16 +33,6 @@ class EnergyBreakdown:
     quartic: float
     coupling: float
     total: float
-
-    @classmethod
-    def from_parts(cls, kin, pot, quart, a):
-        return cls(
-            kinetic=kin,
-            potential=pot,
-            quartic=quart,
-            coupling=a,
-            total=kin + pot - 0.5 * a * quart,
-        )
 
 
 class Functional:
@@ -73,7 +63,8 @@ class Functional:
         sq = u * u
         pot = float(np.sum(self.V * sq) * w)
         quart = float(np.sum(sq * sq) * w)
-        return EnergyBreakdown.from_parts(self.kinetic(uh), pot, quart, self.a)
+        kin = self.kinetic(uh)
+        return EnergyBreakdown(kin, pot, quart, self.a, kin + pot - 0.5 * self.a * quart)
 
     def half_gradient(self, u, uh) -> np.ndarray:
         """-Lap u + V u - a u^3, with one inverse transform."""
@@ -82,14 +73,16 @@ class Functional:
 
 
 def energy(u: Field, V: Field, a: float, check_mass: bool = True) -> EnergyBreakdown:
-    """Breakdown of E_a(u).  Requires unit mass unless check_mass=False."""
+    """Breakdown of E_a(u), V on u's grid.  Requires unit mass unless check_mass=False."""
+    require_same_grid(u.grid, V.grid)
     if check_mass and abs(mass(u) - 1.0) > MASS_TOL:
         raise UnnormalizedInput(f"mass(u) = {mass(u)}, expected 1")
     return Functional(u.grid, V.values, a).energy(u.values, fft.rfft2(u.values))
 
 
 def energy_gradient(u: Field, V: Field, a: float) -> Field:
-    """Half-gradient -Lap u + V u - a u^3 of the functional."""
+    """Half-gradient -Lap u + V u - a u^3 of the functional; V on u's grid."""
+    require_same_grid(u.grid, V.grid)
     vals = Functional(u.grid, V.values, a).half_gradient(u.values, fft.rfft2(u.values))
     return Field(u.grid, vals)
 

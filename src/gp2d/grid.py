@@ -80,6 +80,12 @@ def make_grid(L: float, n: int) -> Grid2D:
     return Grid2D(L=float(L), n=int(n))
 
 
+def require_same_grid(a: Grid2D, b: Grid2D) -> None:
+    """ValueError unless a == b: one grid's samples stand for other points on another."""
+    if a != b:
+        raise ValueError(f"fields on different grids: {a} and {b}")
+
+
 @dataclass
 class Field:
     """Real-valued samples of a function on a Grid2D (row-major, y-major)."""
@@ -134,8 +140,7 @@ def kinetic(u: Field) -> float:
 
 def convolve_potential(V: Field, dens: Field) -> Field:
     """Periodic convolution (V * dens)(y) at the samples y = x_i, by DFT product."""
-    if V.grid != dens.grid:
-        raise ValueError("potential and density live on different grids")
+    require_same_grid(V.grid, dens.grid)
     vh = fft.rfft2(V.values)
     dh = fft.rfft2(dens.values)
     out = fft.irfft2(vh * dh, s=V.values.shape) * V.grid.weight
@@ -201,13 +206,6 @@ def _chirp_z_rows(c: np.ndarray, scale: float, offset: float, L: float) -> np.nd
         buf = fft.ifft(buf, axis=1, overwrite_x=True)
         np.multiply(buf[:, :n], chirp, out=out[rows])
     return out
-
-
-def shift_to_index(u: Field, iy: int, ix: int) -> Field:
-    """Circular shift moving sample (iy, ix) to the grid origin index."""
-    i0 = u.grid.n // 2
-    vals = np.roll(u.values, (i0 - iy, i0 - ix), axis=(0, 1))
-    return Field(u.grid, vals)
 
 
 def write_gpf(path, u: Field) -> None:

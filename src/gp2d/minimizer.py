@@ -23,7 +23,7 @@ from scipy import fft
 
 from .energy import MIN_WIDTH_CELLS, Functional, resample_dilation
 from .errors import CriticalCouplingGuard, NonFiniteIterate
-from .grid import Field, Grid2D, normalize, shift_to_index
+from .grid import Field, Grid2D, normalize, require_same_grid
 
 CRITICALITY_MARGIN = 1e-4
 STEP_INIT = 0.5
@@ -77,6 +77,7 @@ def gaussian_init(grid: Grid2D, center=(0.0, 0.0), width: float = 1.0) -> Field:
 
 def _initial_field(V, grid, init):
     if init is not None:
+        require_same_grid(init.grid, grid)
         return normalize(Field(grid, np.abs(init.values)))
     idx = np.unravel_index(np.argmin(V.values), V.values.shape)
     return gaussian_init(grid, (grid.x[idx[1]], grid.x[idx[0]]))
@@ -109,10 +110,12 @@ def minimize(
 ) -> MinimizerResult:
     """Minimize E_a over the unit-mass sphere.
 
-    If a_star is supplied, couplings near it are refused (_refuse_near_critical).
-    Raises NonFiniteIterate at the first non-finite residual or trial energy.
+    V and init must live on grid (ValueError otherwise).  If a_star is
+    supplied, couplings near it are refused (_refuse_near_critical).  Raises
+    NonFiniteIterate at the first non-finite residual or trial energy.
     """
     opts = opts or MinimizerOptions()
+    require_same_grid(V.grid, grid)
     if not (np.isfinite(a) and a >= 0):
         raise ValueError(f"coupling must be finite and nonnegative, got {a}")
     if a_star is not None:
@@ -126,9 +129,7 @@ def minimize(
     uh = fft.rfft2(uvals)
     E = func.energy(uvals, uh).total
     trace = [E]
-    residual = np.inf
     converged = accepted = False
-    iters = 0
     prev_u = None
     prev_pg = None
     stalls = backtracks = flips = 0
@@ -146,16 +147,13 @@ def minimize(
         d -= (np.sum(d * uvals) * w) * uvals
         slope = float(np.sum(pg * d) * w)  # > 0 for an SPD preconditioner
         # Barzilai-Borwein guess for the trial step, clipped for safety
+        tau = STEP_INIT
         if prev_u is not None:
             s = uvals - prev_u
             y = pg - prev_pg
             denom = float(np.sum(s * y))
             if denom != 0.0 and np.isfinite(denom):
                 tau = min(max(abs(float(np.sum(s * s)) / denom), 1e-6), 50.0)
-            else:
-                tau = min(tau / BACKTRACK_FACTOR, STEP_INIT)
-        else:
-            tau = STEP_INIT
         prev_u = uvals  # rebound below, never written in place
         prev_pg = pg
         accepted = False
@@ -223,10 +221,9 @@ def _recentered_dilate(u: Field, ell: float) -> Field:
     would refuse: the minimizer then starts at the width it will reach.
     """
     iy, ix = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
-    i0 = u.grid.n // 2
-    narrowed = resample_dilation(shift_to_index(u, iy, ix), ell)
-    vals = np.roll(narrowed.values, (iy - i0, ix - i0), axis=(0, 1))
-    return Field(u.grid, vals)
+    shift = (u.grid.n // 2 - iy, u.grid.n // 2 - ix)  # the peak to the origin index
+    narrowed = resample_dilation(Field(u.grid, np.roll(u.values, shift, axis=(0, 1))), ell)
+    return Field(u.grid, np.roll(narrowed.values, (-shift[0], -shift[1]), axis=(0, 1)))
 
 
 def ascending_schedule(schedule) -> list[float]:
@@ -246,7 +243,7 @@ def _warm_start(schedule, fields, a_star):
         return None
 
     def width_ratio(j):
-        return max(((a_star - schedule[j - 1]) / (a_star - schedule[j])) ** 0.25, 1.0)
+        return ((a_star - schedule[j - 1]) / (a_star - schedule[j])) ** 0.25
 
     guess = fields[-1]
     if i >= 2:
@@ -287,7 +284,6 @@ def continuation_sweep(
     schedule = ascending_schedule(schedule)
     if schedule:
         _refuse_near_critical(schedule[-1], a_star)
-    opts = opts or MinimizerOptions()
     results: list[MinimizerResult] = []
     for i, a in enumerate(schedule):
         start = time.perf_counter()

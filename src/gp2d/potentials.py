@@ -237,8 +237,8 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
     two cells inside the box (anywhere, for a periodic potential) and the
     minimum of the same density convolved on a box of doubled half-width
     agrees with it to 1e-3.  File potentials exist only on their own grid
-    and skip that doubling check.  A non-finite eps or a density without
-    unit mass raises ValueError.
+    and skip that doubling check.  A u off grid, a non-finite eps or a
+    density without unit mass raises ValueError.
 
     This evaluates the attainment condition for the specific density |u|^2;
     it reports, it does not prove the universally quantified statement.
@@ -248,8 +248,8 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
     if abs(mass(u) - 1.0) > 1e-6:
         raise ValueError("attainment check requires a unit-mass density")
     V = realize(spec, grid)
-    dens = Field(grid, u.values**2)
-    conv = convolve_potential(V, dens)
+    dens = Field(u.grid, u.values**2)
+    conv = convolve_potential(V, dens)  # ValueError unless u lives on grid
     loc = peak_location(grid, -conv.values)
     vmin = float(np.min(conv.values))
     vmax = float(np.max(conv.values))

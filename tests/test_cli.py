@@ -10,7 +10,9 @@ import gp2d.minimizer as minimizer
 from gp2d.cli import run
 from gp2d.energy import energy
 from gp2d.errors import GPError
-from gp2d.grid import Field, l2_norm, make_grid, normalize, read_gpf, write_gpf
+from gp2d.grid import Field, l2_norm, make_grid, read_gpf, write_gpf
+from gp2d.minimizer import gaussian_init
+from gp2d.potentials import PowerWell, realize
 from gp2d.soliton import lift_to_grid, profile_from_dict
 
 FAST_CFG = """\
@@ -21,11 +23,6 @@ a_schedule = geom:0.2,0.5,2
 tol = 1e-6
 out_dir = {out}
 """
-
-
-def gaussian(grid, width=1.0):
-    rr = grid.radius()
-    return normalize(Field(grid, np.exp(-(rr**2) / (2.0 * width**2))))
 
 
 def test_soliton_smoke(tmp_path, capsys):
@@ -110,9 +107,9 @@ def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
 )
 def test_refused_subcommand_inputs_exit_2(argv, tmp_path, capsys):
     g32, g64 = make_grid(8.0, 32), make_grid(8.0, 64)
-    write_gpf(tmp_path / "u32.gpf", gaussian(g32))
+    write_gpf(tmp_path / "u32.gpf", gaussian_init(g32))
     write_gpf(tmp_path / "v32.gpf", Field(g32, np.cos(g32.radius())))
-    write_gpf(tmp_path / "u64.gpf", gaussian(g64))
+    write_gpf(tmp_path / "u64.gpf", gaussian_init(g64))
     assert run([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -144,7 +141,7 @@ def test_bad_gpf_exits_2(tmp_path):
 
 def test_energy_matches_library(tmp_path, capsys):
     g = make_grid(8.0, 32)
-    u = gaussian(g)
+    u = gaussian_init(g)
     V = Field(g, np.cos(g.radius()))
     up, vp = tmp_path / "u.gpf", tmp_path / "v.gpf"
     write_gpf(up, u)
@@ -156,21 +153,16 @@ def test_energy_matches_library(tmp_path, capsys):
     assert out["kinetic"] == expected.kinetic
 
 
-def test_minimize_writes_outputs(tmp_path):
+def test_minimize_writes_outputs(tmp_path, capsys):
     res_path = tmp_path / "res.json"
     field_path = tmp_path / "u.gpf"
-    code = run(
-        [
-            "minimize",
-            "--potential", "zero",
-            "--a", "6.0",
-            "--L", "10", "--n", "64",
-            "--tol", "1e-7",
-            "--out", str(res_path),
-            "--field", str(field_path),
-        ]
-    )
-    assert code == 0
+    argv = ["minimize", "--potential", "zero", "--a", "6.0", "--L", "10", "--n", "64",
+            "--tol", "1e-7"]
+    assert run(argv + ["--out", str(res_path), "--field", str(field_path)]) == 0
+    assert capsys.readouterr().out == ""
+    # without --out the same JSON goes to stdout
+    assert run(argv) == 0
+    assert capsys.readouterr().out == res_path.read_text()
     res = json.loads(res_path.read_text())
     assert res["converged"]
     # free subcritical torus minimizer is the constant with E = -a/(8 L^2)
@@ -227,7 +219,7 @@ def test_sweep_bad_potential_fails_before_townes(tmp_path, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("sweep solved the Townes profile before its input")
 
-    monkeypatch.setattr(cli, "_PROFILE", None)
+    cli._profile_cached.cache_clear()
     monkeypatch.setattr(cli, "solve_townes", no_solve)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -243,7 +235,7 @@ def test_sweep_bad_schedule_fails_before_townes(tmp_path, monkeypatch, capsys, s
     def no_solve(*args, **kwargs):
         raise AssertionError("sweep solved the Townes profile before its schedule")
 
-    monkeypatch.setattr(cli, "_PROFILE", None)
+    cli._profile_cached.cache_clear()
     monkeypatch.setattr(cli, "solve_townes", no_solve)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -412,10 +404,17 @@ def test_sweep_and_blowup_write_the_same_entry_cells(tmp_path):
     assert analyzed == swept
 
 
-def test_blowup_missing_profile_exits_2(tmp_path):
+def test_blowup_missing_profile_exits_2(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("potential = zero\nL = 12\nn = 32\na_schedule = 1.0\n")
     assert run(["blowup", "--config", str(cfg), "--profile", str(tmp_path / "nope.json")]) == 2
+    not_json = tmp_path / "profile.json"
+    not_json.write_text("a* = 11.7\n")
+    capsys.readouterr()
+    assert run(["blowup", "--config", str(cfg), "--profile", str(not_json)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_check_v1_json(capsys):
@@ -423,6 +422,22 @@ def test_check_v1_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passes_v1"] is True
     assert report["ess_inf_V"] == pytest.approx(-0.2172336, abs=1e-6)
+
+
+def test_check_v1_file_potential(tmp_path, capsys):
+    g = make_grid(8.0, 64)
+    V = realize(PowerWell(h0=1.0, p=2.0, rcut=8.0), g)
+    write_gpf(tmp_path / "v.gpf", V)
+    reports = []
+    for potential in ("power_well h0=1 p=2 rcut=8", f"file:{tmp_path / 'v.gpf'}"):
+        assert run(["check-v1", "--potential", potential, "--L", "8", "--n", "64"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    from_spec, from_file = reports
+    assert from_file["lambda0"] == from_spec["lambda0"]
+    # the sampled minimum is 0, less half a cell times the largest sampled gradient
+    assert V.values.min() == 0.0
+    gy, gx = np.gradient(V.values, g.dx)
+    assert from_file["ess_inf_V"] == -0.5 * g.dx * float(np.max(np.hypot(gx, gy)))
 
 
 @pytest.mark.filterwarnings("error")

@@ -59,6 +59,7 @@ def test_explicit_schedule():
         "potential = zero\nL = 8\nn = 32\na_schedule = 1.0, 1.0\n",
         "potential = zero\nL = 8\nn = 32\na_schedule = 1.0, nan\n",
         "potential = zero\nL = 8\nn = 32\na_schedule = ,\n",
+        "potential = zero\nL = 8\nn = 32\na_schedule = geom:0.05,0.65\n",
     ],
 )
 def test_parse_rejects(text):

@@ -5,27 +5,23 @@ from gp2d.diagnostics import (
     Classification,
     ConcentrationCurve,
     SweepEntry,
+    analyze_sweep,
     blowup_fit,
     classify_sequence,
     concentration_curve,
     distance_to_townes,
-    peak_center,
     rescale_and_align,
 )
-from gp2d.energy import dilate, eps_width
+from gp2d.energy import MIN_WIDTH_CELLS, dilate, eps_width
 from gp2d.errors import InsufficientData
-from gp2d.grid import Field, normalize
+from gp2d.grid import Field, normalize, peak_location
+from gp2d.minimizer import MinimizerResult, gaussian_init
 from gp2d.soliton import lift_to_grid
 
 
-def gaussian(grid, center=(0.0, 0.0), width=1.0):
-    rr = grid.radius(center)
-    return normalize(Field(grid, np.exp(-(rr**2) / (2.0 * width**2))))
-
-
 def test_peak_center_subgrid(grid16):
-    u = gaussian(grid16, center=(2.03, -3.11))
-    cx, cy = peak_center(u)
+    u = gaussian_init(grid16, center=(2.03, -3.11))
+    cx, cy = peak_location(grid16, u.values**2)
     assert cx == pytest.approx(2.03, abs=grid16.dx / 5)
     assert cy == pytest.approx(-3.11, abs=grid16.dx / 5)
 
@@ -79,6 +75,26 @@ def test_blowup_fit_recovers_power_law():
     assert window == (0, 3)
 
 
+def test_sweep_entry_narrower_than_two_cells(profile, grid16):
+    # three resolved entries on eps = 2 (a* - a)^(1/4), then one below 2 cells off that law
+    u = gaussian_init(grid16)
+    results = [
+        MinimizerResult(u=u, E=0.0, residual=0.0, mu=0.0, iters=1, converged=True, eps=eps,
+                        coupling=profile.mass - da,
+                        resolution_warning=eps < MIN_WIDTH_CELLS * grid16.dx)
+        for da, eps in [(1.0, 2.0), (0.5, 2.0 * 0.5**0.25), (0.25, 2.0 * 0.25**0.25),
+                        (0.125, 1.5 * grid16.dx)]
+    ]
+    report = analyze_sweep(results, profile)
+    narrow = report.entries[-1]
+    assert narrow.aligned is None and not narrow.resolved
+    assert np.isnan(narrow.l2_dist) and np.isnan(narrow.h1_dist)
+    assert all(e.aligned is not None and e.resolved for e in report.entries[:3])
+    assert report.fit_window == (0, 2)
+    assert report.fitted_exponent == pytest.approx(0.25, rel=1e-10)
+    assert report.fitted_prefactor == pytest.approx(2.0, rel=1e-10)
+
+
 def test_blowup_fit_insufficient():
     entries = [
         SweepEntry(a=11.0, E=0.0, eps=0.5, l2_dist=0, h1_dist=0, resolved=False)
@@ -105,7 +121,8 @@ def test_classifier_compact(q0_512):
 
 def test_classifier_vanishing(grid16):
     radii = np.arange(0.25, 8.0, 0.25)
-    curves = [concentration_curve(gaussian(grid16, width=w), radii) for w in (1.0, 2.0, 4.0, 8.0)]
+    widths = (1.0, 2.0, 4.0, 8.0)
+    curves = [concentration_curve(gaussian_init(grid16, width=w), radii) for w in widths]
     assert classify_sequence(curves).label == "vanishing"
 
 

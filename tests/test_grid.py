@@ -15,7 +15,6 @@ from gp2d.grid import (
     normalize,
     read_gpf,
     resample_affine,
-    shift_to_index,
     write_gpf,
 )
 from helpers import random_smooth_field
@@ -140,14 +139,6 @@ def test_resample_matches_dense_interpolant(seed, box, scale, offset):
     assert np.max(np.abs(resample_affine(u, scale, offset) - expected)) < 1e-12
 
 
-def test_shift_to_index(rng):
-    g = make_grid(8.0, 32)
-    u = random_smooth_field(g, rng)
-    iy, ix = 5, 20
-    v = shift_to_index(u, iy, ix)
-    assert v.values[g.n // 2, g.n // 2] == u.values[iy, ix]
-
-
 def test_convolution_constant():
     g = make_grid(8.0, 32)
     V = Field(g, np.full((32, 32), 3.0))
@@ -181,5 +172,8 @@ def test_gpf_truncated(tmp_path, rng):
     write_gpf(path, u)
     data = path.read_bytes()
     path.write_bytes(data[:-16])
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="payload"):
+        read_gpf(path)
+    path.write_bytes(data[:16])  # cut inside the 20-byte header
+    with pytest.raises(FileFormatError, match="header"):
         read_gpf(path)

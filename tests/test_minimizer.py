@@ -11,9 +11,10 @@ from gp2d.minimizer import (
     _recentered_dilate,
     _warm_start,
     continuation_sweep,
+    gaussian_init,
     minimize,
 )
-from gp2d.potentials import PowerWell, Sinc, Zero, realize
+from gp2d.potentials import PowerWell, Sinc, Zero, check_v2, realize
 
 
 def zero_potential(grid):
@@ -47,6 +48,25 @@ def test_negative_coupling_rejected(grid_small):
 def test_non_finite_coupling_rejected(grid_small, a):
     with pytest.raises(ValueError):
         minimize(zero_potential(grid_small), a, grid_small)
+
+
+def test_a_field_on_another_grid_is_refused():
+    # same n, another L: read on the wrong grid the samples pose another problem
+    g8, g16 = make_grid(8.0, 64), make_grid(16.0, 64)
+    well = PowerWell(h0=1.0)
+    V8, V16, u8 = realize(well, g8), realize(well, g16), gaussian_init(g8)
+    refused = [
+        lambda: minimize(V8, 0.0, g16),
+        lambda: minimize(V16, 0.0, g16, init=u8),
+        lambda: check_v2(well, u8, 0.01, g16),
+        lambda: energy(u8, V16, 1.0),
+        lambda: energy_gradient(u8, V16, 1.0),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="different grids"):
+            call()
+    # on its own grid the well's ground energy is that of -Lap + r^2
+    assert minimize(V16, 0.0, g16).mu == pytest.approx(2.0, abs=1e-6)
 
 
 def test_criticality_guard(grid_small, a_star):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gp2d.errors import ConfigError, FileFormatError
-from gp2d.grid import Field, make_grid, normalize, write_gpf
+from gp2d.grid import Field, make_grid, write_gpf
+from gp2d.minimizer import gaussian_init
 from gp2d.potentials import (
     Constant,
     FilePotential,
@@ -56,6 +57,7 @@ def test_trap_law_only_for_the_power_well():
         "lattice period=inf",
         "power_well h0=1 h0=2",
         "file:",
+        "power_well h0",
     ],
 )
 def test_parse_rejects(text):
@@ -113,28 +115,23 @@ def test_ess_inf_analytic():
     assert PowerWell().ess_inf() == 0.0
 
 
-def gaussian(grid, center=(0.0, 0.0), width=1.0):
-    rr = grid.radius(center)
-    return normalize(Field(grid, np.exp(-(rr**2) / (2.0 * width**2))))
-
-
 def test_check_v2_lattice_interior(grid16):
     spec = Lattice(s=0.5, period=8.0)
-    u = gaussian(grid16)
+    u = gaussian_init(grid16)
     report = check_v2(spec, u, eps=0.01, grid=grid16)
     assert report.attained_interior
     assert not report.degenerate_flat
     assert report.condition_met == (report.margin < 0.0)
     # a concentrated carrier keeps the smoothing penalty below a generous eps
-    tight = check_v2(spec, gaussian(grid16, width=0.3), eps=0.05, grid=grid16)
+    tight = check_v2(spec, gaussian_init(grid16, width=0.3), eps=0.05, grid=grid16)
     assert tight.condition_met
 
 
 def test_check_v2_shift_equivariance(grid16):
     spec = Lattice(s=0.5, period=8.0)
     shift = 2.0
-    r0 = check_v2(spec, gaussian(grid16), eps=0.01, grid=grid16)
-    r1 = check_v2(spec, gaussian(grid16, center=(shift, 0.0)), eps=0.01, grid=grid16)
+    r0 = check_v2(spec, gaussian_init(grid16), eps=0.01, grid=grid16)
+    r1 = check_v2(spec, gaussian_init(grid16, center=(shift, 0.0)), eps=0.01, grid=grid16)
     assert r1.conv_min_value == pytest.approx(r0.conv_min_value, rel=1e-9)
     dx_loc = (r1.conv_min_location[0] - r0.conv_min_location[0]) % spec.period
     assert min(dx_loc, spec.period - dx_loc) == pytest.approx(shift % spec.period, abs=0.05)
@@ -143,14 +140,14 @@ def test_check_v2_shift_equivariance(grid16):
     well = PowerWell(h0=1.0, p=2.0, rcut=8.0)
     g = make_grid(16.0, 128)
     for center in ((0.0, 0.0), (shift, 0.0)):
-        rep = check_v2(well, gaussian(g, center=center), eps=0.01, grid=g)
+        rep = check_v2(well, gaussian_init(g, center=center), eps=0.01, grid=g)
         assert rep.conv_min_location == pytest.approx(center, abs=0.05)
         assert rep.attained_interior
 
 
 def test_check_v2_constant_degenerate(grid_small):
     spec = Constant(c=1.0)
-    report = check_v2(spec, gaussian(grid_small), eps=0.01, grid=grid_small)
+    report = check_v2(spec, gaussian_init(grid_small), eps=0.01, grid=grid_small)
     assert report.degenerate_flat
     assert not report.attained_interior
 
