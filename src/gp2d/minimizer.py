@@ -50,7 +50,8 @@ class MinimizerResult:
     projected-gradient residual, all evaluated at u.
 
     backtracks counts the trial steps the Armijo test rejected, flips the
-    accepted steps whose candidate the positivity flip changed.
+    accepted steps whose candidate the positivity flip changed, stalls the
+    iterations that accepted no step.
     """
 
     u: Field
@@ -64,6 +65,7 @@ class MinimizerResult:
     resolution_warning: bool = False
     backtracks: int = 0
     flips: int = 0
+    stalls: int = 0
     energy_trace: list = field(default_factory=list, repr=False)
 
 
@@ -132,7 +134,7 @@ def minimize(
     converged = accepted = False
     prev_u = None
     prev_pg = None
-    stalls = backtracks = flips = 0
+    stalled = stalls = backtracks = flips = 0  # stalled: in a row
     for iters in range(1, opts.max_iters + 1):
         pg, mu, residual = _projected_gradient(func, uvals, uh)
         if not math.isfinite(residual):
@@ -183,13 +185,14 @@ def minimize(
         if not accepted:
             # step underflow: drop the Barzilai-Borwein memory and retry once
             # before reporting the best iterate
+            stalled += 1
             stalls += 1
-            if stalls >= 2:
+            if stalled >= 2:
                 break
             prev_u = None
             prev_pg = None
             continue
-        stalls = 0
+        stalled = 0
         trace.append(E)
 
     if not converged and accepted:
@@ -209,6 +212,7 @@ def minimize(
         resolution_warning=bool(eps < MIN_WIDTH_CELLS * grid.dx),
         backtracks=backtracks,
         flips=flips,
+        stalls=stalls,
         energy_trace=trace,
     )
 

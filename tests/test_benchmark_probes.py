@@ -38,6 +38,22 @@ def test_every_probed_name_is_a_callable_of_the_package():
         assert callable(getattr(importlib.import_module(f"gp2d.{module}"), function, None)), name
 
 
+def test_every_attribute_the_fft_counters_replace_exists():
+    (install,) = [node for node in ast.walk(ast.parse(PROBE_PY.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "install_fft_counters"]
+    # names bound to sys.modules["gp2d.<module>"] inside the function
+    modules = {node.targets[0].id: node.value.slice.value.removeprefix("gp2d.")
+               for node in ast.walk(install)
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+               and ast.unparse(node.value.value) == "sys.modules"}
+    replaced = {(modules[node.value.id], node.attr) for node in ast.walk(install)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+    assert ("soliton", "solve_ivp") in replaced
+    for module, attr in replaced:
+        assert hasattr(importlib.import_module(f"gp2d.{module}"), attr), f"{module}.{attr}"
+
+
 def test_minimizer_result_has_every_field_the_probe_keeps():
     (keep,) = assigned(PROBE_PY, ("_KEEP",))
     (reader,) = [v for k, v in zip(keep.keys, keep.values) if k.value == "minimizer.minimize"]

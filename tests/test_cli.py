@@ -7,6 +7,7 @@ import pytest
 
 import gp2d.cli as cli
 import gp2d.minimizer as minimizer
+import gp2d.soliton as soliton
 from gp2d.cli import run
 from gp2d.energy import energy
 from gp2d.errors import GPError
@@ -292,6 +293,17 @@ def test_non_finite_iterate_exits_3(capsys):
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_townes_shot_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(soliton, "_rhs", lambda r, y: (np.nan, np.nan))
+    out = tmp_path / "p.json"
+    assert run(["soliton", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("numerical failure: shot at amplitude 1.0 failed")
     assert len(captured.err.strip().splitlines()) == 1
 
 

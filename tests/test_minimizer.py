@@ -160,6 +160,16 @@ def test_counters_account_for_every_trial(grid_small, monkeypatch):
     assert 0 < res.flips <= accepted
 
 
+def test_stalls_count_every_iteration_without_a_step():
+    # no residual reaches 1e-300, so the run ends at its second stall in a row
+    grid = make_grid(8.0, 16)
+    res = minimize(realize(PowerWell(h0=1.0), grid), 1.0, grid,
+                   MinimizerOptions(tol_residual=1e-300))
+    assert not res.converged
+    assert res.stalls == 2
+    assert res.iters == len(res.energy_trace) - 1 + res.stalls
+
+
 def test_warm_start_takes_the_predicted_width_below_four_cells(q0):
     # a warm start is not a published field: it narrows to eps(u)/ell about
     # the peak even where dilate() refuses for want of resolution

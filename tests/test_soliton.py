@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import gp2d.soliton as soliton
-from gp2d.errors import BoxTooSmall, InvalidProfile
+from gp2d.errors import BoxTooSmall, InvalidProfile, NonConvergence
 from gp2d.grid import kinetic, make_grid, mass
 from gp2d.soliton import (
     MESH_MIN,
@@ -23,9 +24,61 @@ A_STAR_ORACLE = 11.7008965247
 MOMENT2_ORACLE = 13.8948616
 
 
+def classify_by_events(amp):
+    """Reference classification: terminal solve_ivp events on Q falling
+    through 0 and Q' rising through 0, at the shots' tolerances."""
+
+    def cross(r, y):
+        return y[0]
+
+    def turn(r, y):
+        return y[1]
+
+    cross.terminal = turn.terminal = True
+    cross.direction, turn.direction = -1.0, 1.0
+    sol = solve_ivp(soliton._rhs, (soliton.R_START, soliton.R_INTEGRATE),
+                    soliton._series_start(amp), events=(cross, turn),
+                    rtol=1e-12, atol=1e-14, method="DOP853")
+    return "cross" if sol.t_events[0].size > 0 else "turn"
+
+
 def test_amplitude_bracket_classification():
     assert classify_amplitude(1.0) == "turn"
     assert classify_amplitude(4.0) == "cross"
+
+
+def test_classification_agrees_with_the_event_reference():
+    rng = np.random.default_rng(7)
+    spread = np.linspace(1.0, 4.0, 40)
+    near_root = AMPLITUDE_ORACLE + rng.uniform(-1e-9, 1e-9, 40)
+    near = [classify_amplitude(a) for a in near_root]
+    assert {"cross", "turn"} <= set(near)
+    assert [classify_amplitude(a) for a in spread] == [classify_by_events(a) for a in spread]
+    assert near == [classify_by_events(a) for a in near_root]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_bisection_matches_the_event_reference_bit_for_bit(tol, monkeypatch):
+    amp = bisect_amplitude(tol)
+    monkeypatch.setattr(soliton, "classify_amplitude", classify_by_events)
+    assert amp == bisect_amplitude(tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rhs", [
+    lambda r, y: (np.nan, np.nan),
+    lambda r, y: (y[0] ** 2, 0.0),  # Q blows up at r = 1/Q(0)
+])
+def test_failed_classification_shot_raises(rhs, monkeypatch):
+    monkeypatch.setattr(soliton, "_rhs", rhs)
+    with pytest.raises(NonConvergence, match="DOP853 return code"):
+        classify_amplitude(2.0)
+
+
+def test_failed_profile_shot_raises(monkeypatch):
+    monkeypatch.setattr(soliton, "_rhs", lambda r, y: (y[0] ** 2, 0.0))
+    with pytest.raises(NonConvergence, match="profile shot"):
+        profile_from_amplitude(AMPLITUDE_ORACLE)
 
 
 def test_tol_validation():
@@ -40,6 +93,7 @@ def test_mesh_size_validated_before_any_shot(monkeypatch):
         raise AssertionError("integrated before validating mesh_size")
 
     monkeypatch.setattr(soliton, "solve_ivp", no_shot)
+    monkeypatch.setattr(soliton, "ode", no_shot)
     for mesh_size in (0, 3, MESH_MIN - 1):
         with pytest.raises(ValueError, match="mesh_size"):
             solve_townes(mesh_size=mesh_size)
