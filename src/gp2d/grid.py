@@ -8,6 +8,7 @@ accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -218,7 +219,7 @@ def write_gpf(path, u: Field) -> None:
 
 
 def read_gpf(path) -> Field:
-    """Read a GPF1 field file."""
+    """Read a GPF1 field file; the header's grid and the file size are checked first."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != GPF1_MAGIC:
@@ -226,10 +227,9 @@ def read_gpf(path) -> Field:
         raw = f.read(12)
         if len(raw) != 12:
             raise FileFormatError(f"truncated header in {path!r}")
-        n = struct.unpack("<I", raw[:4])[0]
-        L = struct.unpack("<d", raw[4:])[0]
-        data = f.read(8 * n * n)
-        if len(data) != 8 * n * n:
+        n, L = struct.unpack("<Id", raw)
+        grid = make_grid(L, n)
+        if os.fstat(f.fileno()).st_size - f.tell() < 8 * n * n:
             raise FileFormatError(f"truncated payload in {path!r}")
-        vals = np.frombuffer(data, dtype="<f8").reshape(n, n)
-    return Field(make_grid(L, n), vals.copy())
+        vals = np.frombuffer(f.read(8 * n * n), dtype="<f8").reshape(n, n)
+    return Field(grid, vals.copy())

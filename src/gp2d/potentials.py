@@ -16,6 +16,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import brentq
 
+from .energy import MASS_TOL
 from .errors import ConfigError, FileFormatError
 from .grid import Field, Grid2D, convolve_potential, make_grid, mass, peak_location, read_gpf
 
@@ -245,7 +246,7 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    if abs(mass(u) - 1.0) > 1e-6:
+    if abs(mass(u) - 1.0) > MASS_TOL:
         raise ValueError("attainment check requires a unit-mass density")
     V = realize(spec, grid)
     dens = Field(u.grid, u.values**2)

@@ -3,8 +3,14 @@
 Solved by bisection on the shooting amplitude Q(0).  Amplitudes below the
 critical one produce solutions that turn around while still positive;
 amplitudes above produce a sign crossing.  Beyond a matching radius the
-profile is replaced by its asymptotic tail c*exp(-r)/sqrt(r), whose moment
-integrals are added analytically.
+profile is replaced by its asymptotic tail c*exp(-r)/sqrt(r) up to
+R_TAIL_END = 20, where the mesh and every integral end.  The remainder beyond
+(Q^2 r ~ exp(-40)) would leave the mass a* bit-identical and move the p = 1,
+2, 4 moments by 3e-16, 5e-15 and 6e-13 relative.
+
+A profile is valid when mass = kinetic = quartic/2 (the Pohozaev identities)
+to IDENTITY_RTOL; the identity error runs up to about 6x the bisection tol, so
+``solve_townes`` accepts tol in [1e-14, 1e-8] only.
 
 Every shot integrates with the eighth-order Dormand-Prince pair DOP853 at
 rtol 1e-12, atol 1e-14: at that tolerance it needs under a third of the
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import ode, simpson, solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma, gammaincc
 
 from .errors import BoxTooSmall, BracketNotFound, InvalidProfile, NonConvergence
 from .grid import Field, Grid2D, normalize
@@ -103,25 +108,13 @@ class RadialProfile:
         self.quartic = 2.0 * np.pi * simpson(self.q**4 * self.r, x=self.r)
 
     def _moment_raw(self, p: float) -> float:
-        """2*pi * int r^p Q^2 r dr over the mesh plus the analytic tail remainder."""
-        body = 2.0 * np.pi * simpson(self.r ** (p + 1.0) * self.q**2, x=self.r)
-        # tail beyond the mesh end: Q^2 r ~ c^2 exp(-2r), so the remainder is
-        # c^2 * Gamma(p+1, 2*r_end) / 2^(p+1)
-        r_end = self.r[-1]
-        rem = (
-            2.0
-            * np.pi
-            * self.tail_coef**2
-            * gamma(p + 1.0)
-            * gammaincc(p + 1.0, 2.0 * r_end)
-            / 2.0 ** (p + 1.0)
-        )
-        return float(body + rem)
+        """2*pi * int r^p Q^2 r dr over the stored mesh."""
+        return float(2.0 * np.pi * simpson(self.r ** (p + 1.0) * self.q**2, x=self.r))
 
-    def identities_ok(self, rtol: float = IDENTITY_RTOL) -> bool:
+    def identities_ok(self) -> bool:
         return (
-            abs(self.mass - self.kinetic) / self.mass < rtol
-            and abs(self.mass - self.quartic / 2.0) / self.mass < rtol
+            abs(self.mass - self.kinetic) / self.mass < IDENTITY_RTOL
+            and abs(self.mass - self.quartic / 2.0) / self.mass < IDENTITY_RTOL
         )
 
     def spline(self) -> CubicSpline:
@@ -162,9 +155,7 @@ def _check_mesh_size(mesh_size: int) -> None:
         raise ValueError(f"mesh_size must be at least {MESH_MIN}, got {mesh_size}")
 
 
-def profile_from_amplitude(
-    amp: float, mesh_size: int = 4000, tol: float = 1e-12
-) -> RadialProfile:
+def profile_from_amplitude(amp: float, mesh_size: int = 4000) -> RadialProfile:
     """Integrate the profile at a known amplitude and attach the analytic tail.
 
     Reuse this with a fixed amplitude to refine the stored mesh without
@@ -216,8 +207,7 @@ def profile_from_amplitude(
         tail_coef=float(c_tail),
         tail_start=r_match,
     )
-    # identity error tracks the amplitude bracket width at loose tolerances
-    if not profile.identities_ok(rtol=max(IDENTITY_RTOL, 10.0 * tol)):
+    if not profile.identities_ok():
         raise NonConvergence(
             "Pohozaev identities violated: "
             f"mass={profile.mass}, kinetic={profile.kinetic}, quartic={profile.quartic}"
@@ -228,13 +218,14 @@ def profile_from_amplitude(
 def solve_townes(tol: float = 1e-12, mesh_size: int = 4000) -> RadialProfile:
     """Bisect on the shooting amplitude until the bracket width is below tol.
 
-    Both arguments are checked before the first shot; mesh_size must be at
-    least MESH_MIN (see _check_mesh_size).
+    Both arguments are checked before the first shot: tol must lie in
+    [1e-14, 1e-8], where the profile meets the Pohozaev gate, and mesh_size
+    must be at least MESH_MIN (see _check_mesh_size).
     """
-    if not (1e-14 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-14, 1e-4], got {tol}")
+    if not (1e-14 <= tol <= 1e-8):
+        raise ValueError(f"tol must lie in [1e-14, 1e-8] to meet the Pohozaev gate, got {tol}")
     _check_mesh_size(mesh_size)
-    return profile_from_amplitude(bisect_amplitude(tol), mesh_size, tol)
+    return profile_from_amplitude(bisect_amplitude(tol), mesh_size)
 
 
 def critical_coupling(profile: RadialProfile) -> float:
@@ -245,7 +236,7 @@ def critical_coupling(profile: RadialProfile) -> float:
 
 
 def radial_moment(profile: RadialProfile, p: float) -> float:
-    """2*pi int r^p Q(r)^2 r dr including the analytic tail remainder."""
+    """2*pi int r^p Q(r)^2 r dr out to the end of the stored mesh."""
     if not (0.0 < p <= 4.0):
         raise ValueError(f"moment order must lie in (0, 4], got {p}")
     return profile._moment_raw(p)

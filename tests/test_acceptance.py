@@ -47,8 +47,8 @@ def test_criterion_1_townes_identities():
 
     t0 = time.monotonic()
     amp = bisect_amplitude(tol=1e-10)
-    p1 = profile_from_amplitude(amp, mesh_size=4000, tol=1e-10)
-    p2 = profile_from_amplitude(amp, mesh_size=8000, tol=1e-10)
+    p1 = profile_from_amplitude(amp, mesh_size=4000)
+    p2 = profile_from_amplitude(amp, mesh_size=8000)
     elapsed = time.monotonic() - t0
     e_mk = abs(p1.mass - p1.kinetic) / p1.mass
     e_mq = abs(p1.mass - p1.quartic / 2.0) / p1.mass

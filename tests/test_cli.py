@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import gp2d.soliton as soliton
 from gp2d.cli import run
 from gp2d.energy import energy
 from gp2d.errors import GPError
-from gp2d.grid import Field, l2_norm, make_grid, read_gpf, write_gpf
+from gp2d.grid import GPF1_MAGIC, Field, l2_norm, make_grid, read_gpf, write_gpf
 from gp2d.minimizer import gaussian_init
 from gp2d.potentials import PowerWell, realize
 from gp2d.soliton import lift_to_grid, profile_from_dict
@@ -104,6 +105,8 @@ def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
         ["soliton", "--mesh-size", "100", "--out", "{tmp}/p.json"],
         ["energy", "--field", "{tmp}/u64.gpf", "--potential", "{tmp}/v32.gpf", "--a", "1"],
         ["check-v2", "--potential", "sinc", "--L", "8", "--n", "64", "--field", "{tmp}/u32.gpf"],
+        # a tol the Pohozaev gate cannot meet is refused before the solve
+        ["soliton", "--tol", "1e-6", "--out", "{tmp}/p.json"],
     ],
 )
 def test_refused_subcommand_inputs_exit_2(argv, tmp_path, capsys):
@@ -116,6 +119,8 @@ def test_refused_subcommand_inputs_exit_2(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "p.json").exists()
+    if "--tol" in argv:
+        assert "[1e-14, 1e-8]" in captured.err
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -132,12 +137,19 @@ def test_malformed_potential_exits_2(tmp_path):
     assert run(["check-v1", "--potential", "mystery", "--L", "8", "--n", "32"]) == 2
 
 
-def test_bad_gpf_exits_2(tmp_path):
+def test_bad_gpf_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.gpf"
     bad.write_bytes(b"NOTGPF00" + b"\0" * 64)
     assert (
         run(["energy", "--field", str(bad), "--potential", str(bad), "--a", "1.0"]) == 2
     )
+    # a header claiming n = 2**31 is refused from the file size, without reading
+    huge = tmp_path / "huge.gpf"
+    huge.write_bytes(GPF1_MAGIC + struct.pack("<Id", 2**31, 8.0) + b"\0" * 64)
+    capsys.readouterr()
+    assert run(["energy", "--field", str(huge), "--potential", str(huge), "--a", "1.0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "truncated payload" in err[0]
 
 
 def test_energy_matches_library(tmp_path, capsys):

@@ -157,3 +157,7 @@ def test_check_v2_requires_unit_mass(grid_small):
     u = Field(grid_small, np.full((grid_small.n, grid_small.n), 0.3))
     with pytest.raises(ValueError):
         check_v2(spec, u, eps=0.01, grid=grid_small)
+    # the same unit-mass tolerance as energy(): |mass - 1| > MASS_TOL = 1e-8
+    u = Field(grid_small, gaussian_init(grid_small).values * np.sqrt(1.0 + 1e-7))
+    with pytest.raises(ValueError, match="unit-mass"):
+        check_v2(spec, u, eps=0.01, grid=grid_small)

@@ -90,10 +90,14 @@ def test_tol_validation():
 
 def test_mesh_size_validated_before_any_shot(monkeypatch):
     def no_shot(*args, **kwargs):
-        raise AssertionError("integrated before validating mesh_size")
+        raise AssertionError("integrated before validating mesh_size or tol")
 
     monkeypatch.setattr(soliton, "solve_ivp", no_shot)
     monkeypatch.setattr(soliton, "ode", no_shot)
+    # the identity error is about 6x tol: above 1e-8 the profile fails its gate
+    for tol in (1e-6, 1e-4):
+        with pytest.raises(ValueError, match="tol"):
+            solve_townes(tol=tol)
     for mesh_size in (0, 3, MESH_MIN - 1):
         with pytest.raises(ValueError, match="mesh_size"):
             solve_townes(mesh_size=mesh_size)
