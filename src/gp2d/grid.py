@@ -219,7 +219,7 @@ def write_gpf(path, u: Field) -> None:
 
 
 def read_gpf(path) -> Field:
-    """Read a GPF1 field file; the header's grid and the file size are checked first."""
+    """Read a GPF1 field file; the header's grid and the exact file size are checked first."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != GPF1_MAGIC:
@@ -229,7 +229,11 @@ def read_gpf(path) -> Field:
             raise FileFormatError(f"truncated header in {path!r}")
         n, L = struct.unpack("<Id", raw)
         grid = make_grid(L, n)
-        if os.fstat(f.fileno()).st_size - f.tell() < 8 * n * n:
-            raise FileFormatError(f"truncated payload in {path!r}")
-        vals = np.frombuffer(f.read(8 * n * n), dtype="<f8").reshape(n, n)
+        size, expected = os.fstat(f.fileno()).st_size - f.tell(), 8 * n * n
+        if size != expected:
+            kind = "truncated" if size < expected else "overlong"
+            raise FileFormatError(
+                f"{kind} payload in {path!r}: {size} bytes, the header's n = {n} needs {expected}"
+            )
+        vals = np.frombuffer(f.read(expected), dtype="<f8").reshape(n, n)
     return Field(grid, vals.copy())

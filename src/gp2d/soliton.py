@@ -14,11 +14,24 @@ to IDENTITY_RTOL; the identity error runs up to about 6x the bisection tol, so
 
 Every shot integrates with the eighth-order Dormand-Prince pair DOP853 at
 rtol 1e-12, atol 1e-14: at that tolerance it needs under a third of the
-right-hand-side calls of a fifth-order pair.  ``solve_townes`` at its default
-tol=1e-12 makes 45 shots: the two bracket ends [1, 4], 42 bisection steps and
-the dense profile integration.
+right-hand-side calls of a fifth-order pair.  The right-hand side works on
+Python floats: a shot makes about 1100 calls, and numpy scalar arithmetic
+costs more than the step itself (Q**3 stays a power, as a product would round
+differently).
 
-The 44 sign-classification shots run on Hairer's Fortran DOP853 through
+Bisection runs on [1, 4] and its midpoints, but not every midpoint is shot.
+Q(0) is a universal constant, so after the two bracket ends the amplitudes
+AMPLITUDE_HINT -/+ HINT_RADIUS are shot.  When they turn and cross, the
+monotonicity that bisection already rests on classes every midpoint at or
+below the first as a turn and every one at or above the second as a cross,
+and only the midpoints between them are shot.  The loop and its midpoints are
+those of plain bisection, so the returned float is the same at every tol;
+when the two hint shots do not straddle the root, every midpoint is shot.
+``solve_townes`` at its default tol=1e-12 makes 14 shots: 13 classification
+shots (the two ends, the two hint sides and 9 of the 42 midpoints) and the
+dense profile integration.
+
+The classification shots run on Hairer's Fortran DOP853 through
 ``scipy.integrate.ode``, at about a fifth of the cost of ``solve_ivp``'s
 Python stepping loop.  A step callback stops a shot at the first accepted
 step that ends with Q < 0 or Q' > 0.  The two codes choose slightly different
@@ -47,10 +60,13 @@ Q_SWITCH = 1e-5         # hand over to the analytic tail once Q drops below this
 R_TAIL_END = 20.0       # stored mesh extends to here via the tail formula
 IDENTITY_RTOL = 1e-6    # Pohozaev identity gate
 MESH_MIN = 500          # fewest body samples whose quadrature meets that gate
+AMPLITUDE_HINT = 2.2062008646505  # Q(0), a universal constant
+HINT_RADIUS = 1e-10     # half-width of the bracket certified around the hint
 
 
 def _rhs(r, y):
-    q, p = y
+    # Python floats: numpy scalar arithmetic costs more than the DOP853 step
+    q, p = y.tolist()
     return (p, q - q**3 - p / r)
 
 
@@ -64,7 +80,8 @@ def _series_start(amp: float):
 
 def _stop_at_sign_change(r, y):
     """Step callback: stop the shot once Q < 0 or Q' > 0."""
-    return -1 if y[0] < 0.0 or y[1] > 0.0 else 0
+    q, p = y.tolist()
+    return -1 if q < 0.0 or p > 0.0 else 0
 
 
 def classify_amplitude(amp: float) -> str:
@@ -96,7 +113,6 @@ class RadialProfile:
     q: np.ndarray
     q_prime: np.ndarray
     shoot_amplitude: float
-    tail_coef: float
     tail_start: float
     mass: float = field(init=False)
     kinetic: float = field(init=False)
@@ -127,18 +143,25 @@ def bisect_amplitude(tol: float) -> float:
     """Shooting amplitude from bisection, taken at the cross-side endpoint.
 
     The cross-side shot is guaranteed to fall through the tail-matching
-    threshold; the turn-side one can bounce above it first.
+    threshold; the turn-side one can bounce above it first.  Midpoints outside
+    the certified bracket around AMPLITUDE_HINT are classed without a shot
+    (see the module docstring).
     """
     lo, hi = 1.0, 4.0
     if classify_amplitude(lo) != "turn" or classify_amplitude(hi) != "cross":
         raise BracketNotFound("initial bracket [1, 4] does not straddle the root")
+    # if the hint's two sides straddle the root, every midpoint outside them
+    # is classed by monotonicity alone; otherwise every midpoint is shot
+    turns, crosses = AMPLITUDE_HINT - HINT_RADIUS, AMPLITUDE_HINT + HINT_RADIUS
+    if classify_amplitude(turns) != "turn" or classify_amplitude(crosses) != "cross":
+        turns, crosses = lo, hi
     steps = 0
     while hi - lo > tol:
         steps += 1
         if steps > 200:
             raise NonConvergence("bisection budget exhausted")
         mid = 0.5 * (lo + hi)
-        if classify_amplitude(mid) == "cross":
+        if mid >= crosses or (mid > turns and classify_amplitude(mid) == "cross"):
             hi = mid
         else:
             lo = mid
@@ -204,7 +227,6 @@ def profile_from_amplitude(amp: float, mesh_size: int = 4000) -> RadialProfile:
         q=np.concatenate([q_body, q_tail]),
         q_prime=np.concatenate([p_body, p_tail]),
         shoot_amplitude=amp,
-        tail_coef=float(c_tail),
         tail_start=r_match,
     )
     if not profile.identities_ok():
@@ -249,7 +271,6 @@ def profile_to_dict(profile: RadialProfile) -> dict:
         "q": profile.q.tolist(),
         "q_prime": profile.q_prime.tolist(),
         "shoot_amplitude": profile.shoot_amplitude,
-        "tail_coef": profile.tail_coef,
         "tail_start": profile.tail_start,
         "mass": profile.mass,
         "kinetic": profile.kinetic,
@@ -266,7 +287,6 @@ def profile_from_dict(data: dict) -> RadialProfile:
             q=np.asarray(data["q"], float),
             q_prime=np.asarray(data["q_prime"], float),
             shoot_amplitude=float(data["shoot_amplitude"]),
-            tail_coef=float(data["tail_coef"]),
             tail_start=float(data["tail_start"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

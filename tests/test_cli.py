@@ -150,6 +150,14 @@ def test_bad_gpf_exits_2(tmp_path, capsys):
     assert run(["energy", "--field", str(huge), "--potential", str(huge), "--a", "1.0"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "truncated payload" in err[0]
+    # a header naming n = 16 in front of a 32 x 32 payload is refused too
+    long = tmp_path / "long.gpf"
+    long.write_bytes(GPF1_MAGIC + struct.pack("<Id", 16, 8.0) + b"\0" * (8 * 32 * 32))
+    flat = tmp_path / "flat.gpf"
+    write_gpf(flat, Field(make_grid(8.0, 16), np.zeros((16, 16))))
+    assert run(["energy", "--field", str(long), "--potential", str(flat), "--a", "1.0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "overlong payload" in err[0]
 
 
 def test_energy_matches_library(tmp_path, capsys):

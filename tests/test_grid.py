@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,4 +178,16 @@ def test_gpf_truncated(tmp_path, rng):
         read_gpf(path)
     path.write_bytes(data[:16])  # cut inside the 20-byte header
     with pytest.raises(FileFormatError, match="header"):
+        read_gpf(path)
+
+
+def test_gpf_overlong_payload_refused(tmp_path, rng):
+    # a 32 x 32 payload behind a header that names n = 16
+    u = random_smooth_field(make_grid(8.0, 32), rng)
+    path = tmp_path / "u.gpf"
+    write_gpf(path, u)
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 16)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match="overlong payload"):
         read_gpf(path)

@@ -75,6 +75,38 @@ def test_failed_classification_shot_raises(rhs, monkeypatch):
         classify_amplitude(2.0)
 
 
+def test_default_solve_makes_at_most_13_classification_shots(monkeypatch):
+    calls = []
+
+    def counted(amp):
+        calls.append(amp)
+        return classify_amplitude(amp)
+
+    monkeypatch.setattr(soliton, "classify_amplitude", counted)
+    solve_townes()
+    # the two bracket ends, the two hint sides and 9 of the 42 midpoints
+    assert calls[:2] == [1.0, 4.0]
+    assert len(calls) <= 13
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14])
+def test_uncertified_hint_replays_the_same_bisection(tol, monkeypatch):
+    amp = bisect_amplitude(tol)
+    monkeypatch.setattr(soliton, "AMPLITUDE_HINT", 3.0)  # both hint sides cross
+    assert classify_amplitude(3.0 - soliton.HINT_RADIUS) == "cross"
+    assert bisect_amplitude(tol) == amp
+
+
+def test_rhs_matches_the_numpy_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for r, q, p in zip(rng.uniform(1e-8, 25.0, 100), rng.uniform(-3.0, 4.0, 100),
+                       rng.uniform(-5.0, 5.0, 100)):
+        qn, pn = np.array([q, p])  # numpy float64 scalars
+        expected = (pn, qn - qn**3 - pn / r)
+        got = soliton._rhs(float(r), np.array([q, p]))
+        assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+
 def test_failed_profile_shot_raises(monkeypatch):
     monkeypatch.setattr(soliton, "_rhs", lambda r, y: (y[0] ** 2, 0.0))
     with pytest.raises(NonConvergence, match="profile shot"):
@@ -157,6 +189,13 @@ def test_profile_dict_round_trip(profile):
     again = profile_from_dict(data)
     assert again.mass == pytest.approx(profile.mass, rel=1e-12)
     assert again.identities_ok()
+
+
+def test_profile_file_with_a_tail_coef_key_still_loads(profile):
+    data = profile_to_dict(profile)
+    assert "tail_coef" not in data
+    data["tail_coef"] = 6.0  # written by older versions; extra keys are ignored
+    assert profile_from_dict(data).mass == profile.mass
 
 
 def test_profile_from_dict_rejects_garbage():
