@@ -137,7 +137,7 @@ def _profile_cached():
 
 
 def cmd_soliton(args) -> int:
-    profile = solve_townes(tol=args.tol, mesh_size=args.mesh_size)
+    profile = solve_townes(tol=args.tol)
     data = profile_to_dict(profile)
     data["a_star"] = critical_coupling(profile)
     _dump_json(data, args.out)
@@ -233,13 +233,20 @@ def _finish(manifest: _Manifest, results, exit_code: int = EXIT_OK) -> int:
     return exit_code
 
 
+def _entry_cells(res, *distances) -> tuple:
+    """One entries.csv row of a minimizer result, for gp sweep and gp blowup:
+    a, E, eps, then the distances (gp blowup's L2 and H1 to Townes), then
+    residual, iters, converged, resolved."""
+    return (res.coupling, res.E, res.eps, *distances, res.residual, res.iters,
+            res.converged, not res.resolution_warning)
+
+
 def cmd_sweep(args) -> int:
     _, _, manifest, results = _run_schedule(args)
     rows = []
     for i, res in enumerate(results):
         write_gpf(manifest.output(f"u_{i:03d}.gpf"), res.u)
-        rows.append((res.coupling, res.E, res.eps, res.residual, res.iters, res.converged,
-                     not res.resolution_warning))
+        rows.append(_entry_cells(res))
     header = ("a", "E", "eps", "residual", "iters", "converged", "resolved")
     _write_csv(manifest.output("entries.csv"), header, rows)
 
@@ -255,14 +262,11 @@ def cmd_sweep(args) -> int:
 def cmd_blowup(args) -> int:
     cfg, profile, manifest, results = _run_schedule(args, args.profile)
     report = analyze_sweep(results, profile, cfg.potential.trap)
-    rows = [
-        (e.a, e.E, e.eps, e.l2_dist, e.h1_dist, res.residual, res.iters, res.converged, e.resolved)
-        for e, res in zip(report.entries, results)
-    ]
+    rows = [_entry_cells(res, e.l2_dist, e.h1_dist) for res, e in zip(results, report.entries)]
     header = ("a", "E", "eps", "L2_dist", "H1_dist", "residual", "iters", "converged", "resolved")
     _write_csv(manifest.output("entries.csv"), header, rows)
-    for i, entry in enumerate(report.entries):
-        if entry.resolved:
+    for i, (res, entry) in enumerate(zip(results, report.entries)):
+        if not res.resolution_warning:
             write_gpf(manifest.output(f"aligned_{i:03d}.gpf"), entry.aligned)
 
     exit_code = EXIT_OK
@@ -320,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soliton", help="solve the Townes profile, write JSON")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--mesh-size", type=int, default=4000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_soliton)
 

@@ -22,12 +22,11 @@ CLASSIFY_DELTA = 0.05  # mass tolerance of the trichotomy classifier
 
 @dataclass
 class SweepEntry:
-    a: float
-    E: float
-    eps: float
+    """What the analysis adds to one MinimizerResult: its coupling, E, eps
+    and resolution flag stay on the result."""
+
     l2_dist: float
     h1_dist: float
-    resolved: bool
     aligned: Field | None = None  # blow-up normal form; None when eps < 2 dx
 
 
@@ -53,18 +52,18 @@ class Classification:
     lam: float | None = None
 
 
-def rescale_and_align(u: Field, eps: float):
+def rescale_and_align(u: Field, eps: float) -> Field:
     """Blow-up normal form: aligned(x) = eps * u(center + eps x).
 
-    eps is u's gradient width as the minimizer reports it (MinimizerResult.eps).
-    Returns (aligned field, center), center the sub-grid density peak.  The aligned field
-    is sampled by spectral interpolation on u's grid, to compare with the Townes profile.
+    eps is u's gradient width as the minimizer reports it (MinimizerResult.eps),
+    center the sub-grid density peak.  The aligned field is sampled by spectral
+    interpolation on u's grid, to compare with the Townes profile.
     """
     g = u.grid
     if eps < 2.0 * g.dx:
         raise UnderResolved(f"width {eps:.4g} below 2 dx = {2 * g.dx:.4g}")
     center = peak_location(g, u.values**2)
-    return Field(g, eps * resample_affine(u, eps, offset=center)), center
+    return Field(g, eps * resample_affine(u, eps, offset=center))
 
 
 def distance_to_townes(aligned: Field, q0: Field):
@@ -79,11 +78,10 @@ def distance_to_townes(aligned: Field, q0: Field):
 def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     """Build per-entry blow-up records from minimizer results and fit eps(a).
 
-    Each entry keeps its minimizer's width and resolved flag (res.eps, and
-    no resolution warning: eps of at least energy.MIN_WIDTH_CELLS cells);
-    only resolved entries enter the fit.  Each entry is aligned once
-    (rescale_and_align) and carries the aligned field; entries narrower than
-    2 cells are not aligned and get NaN distances.
+    Entry i belongs to results[i].  Each result is aligned once
+    (rescale_and_align) and its entry carries the aligned field; results
+    narrower than 2 cells are not aligned and get NaN distances.  The fit is
+    blowup_fit(results, a*).
 
     trap, the potential's trap law (p, h0) when it has one (PotentialSpec.trap),
     adds the predicted exponent 1/(p+2) and prefactor to the report.
@@ -91,28 +89,18 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     aligned = []
     for res in results:
         try:
-            aligned.append(rescale_and_align(res.u, res.eps)[0])
+            aligned.append(rescale_and_align(res.u, res.eps))
         except UnderResolved:
             aligned.append(None)
     # lifted after the alignments, whose transforms set the memory peak
     q0 = lift_to_grid(profile, results[0].u.grid) if results else None
     entries = []
-    for res, w in zip(results, aligned):
+    for w in aligned:
         l2, h1 = (np.nan, np.nan) if w is None else distance_to_townes(w, q0)
-        entries.append(
-            SweepEntry(
-                a=res.coupling,
-                E=res.E,
-                eps=res.eps,
-                l2_dist=l2,
-                h1_dist=h1,
-                resolved=not res.resolution_warning,
-                aligned=w,
-            )
-        )
+        entries.append(SweepEntry(l2_dist=l2, h1_dist=h1, aligned=w))
     report = SweepReport(entries=entries)
     try:
-        exponent, prefactor, window = blowup_fit(entries, profile)
+        exponent, prefactor, window = blowup_fit(results, profile.mass)
         report.fitted_exponent = exponent
         report.fitted_prefactor = prefactor
         report.fit_window = window
@@ -126,17 +114,18 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     return report
 
 
-def blowup_fit(entries, profile: RadialProfile):
-    """Least-squares fit of log eps against log(a* - a) over resolved entries.
+def blowup_fit(results, a_star: float):
+    """Least-squares fit of log eps against log(a* - a) over the minimizer
+    results without a resolution warning (eps of at least
+    energy.MIN_WIDTH_CELLS cells).
 
     Returns (exponent, prefactor, index window).
     """
-    a_star = profile.mass
-    idx = [i for i, e in enumerate(entries) if e.resolved]
+    idx = [i for i, res in enumerate(results) if not res.resolution_warning]
     if len(idx) < 3:
         raise InsufficientData(f"need >= 3 resolved entries, have {len(idx)}")
-    da = np.array([a_star - entries[i].a for i in idx])
-    eps = np.array([entries[i].eps for i in idx])
+    da = np.array([a_star - results[i].coupling for i in idx])
+    eps = np.array([results[i].eps for i in idx])
     slope, intercept = np.polyfit(np.log(da), np.log(eps), 1)
     return float(slope), float(np.exp(intercept)), (min(idx), max(idx))
 

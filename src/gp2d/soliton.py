@@ -168,24 +168,17 @@ def bisect_amplitude(tol: float) -> float:
     return hi
 
 
-def _check_mesh_size(mesh_size: int) -> None:
-    """Reject fewer than MESH_MIN = 500 body samples with ValueError.
-
-    The Simpson moments err like mesh_size^-4, and at 400 samples they
-    already use half of the 1e-6 Pohozaev gate.
-    """
-    if mesh_size < MESH_MIN:
-        raise ValueError(f"mesh_size must be at least {MESH_MIN}, got {mesh_size}")
-
-
 def profile_from_amplitude(amp: float, mesh_size: int = 4000) -> RadialProfile:
     """Integrate the profile at a known amplitude and attach the analytic tail.
 
     Reuse this with a fixed amplitude to refine the stored mesh without
-    repeating the bisection.  mesh_size below MESH_MIN raises ValueError
-    before the integration.
+    repeating the bisection.  mesh_size below MESH_MIN = 500 body samples
+    raises ValueError before the integration: the Simpson moments err like
+    mesh_size^-4, and at 400 samples they already use half of the 1e-6
+    Pohozaev gate.
     """
-    _check_mesh_size(mesh_size)
+    if mesh_size < MESH_MIN:
+        raise ValueError(f"mesh_size must be at least {MESH_MIN}, got {mesh_size}")
 
     def event_switch(r, y):
         return y[0] - Q_SWITCH
@@ -237,17 +230,16 @@ def profile_from_amplitude(amp: float, mesh_size: int = 4000) -> RadialProfile:
     return profile
 
 
-def solve_townes(tol: float = 1e-12, mesh_size: int = 4000) -> RadialProfile:
-    """Bisect on the shooting amplitude until the bracket width is below tol.
+def solve_townes(tol: float = 1e-12) -> RadialProfile:
+    """Bisect on the shooting amplitude until the bracket width is below tol,
+    then integrate the profile on profile_from_amplitude's default mesh.
 
-    Both arguments are checked before the first shot: tol must lie in
-    [1e-14, 1e-8], where the profile meets the Pohozaev gate, and mesh_size
-    must be at least MESH_MIN (see _check_mesh_size).
+    tol is checked before the first shot: it must lie in [1e-14, 1e-8],
+    where the profile meets the Pohozaev gate.
     """
     if not (1e-14 <= tol <= 1e-8):
         raise ValueError(f"tol must lie in [1e-14, 1e-8] to meet the Pohozaev gate, got {tol}")
-    _check_mesh_size(mesh_size)
-    return profile_from_amplitude(bisect_amplitude(tol), mesh_size)
+    return profile_from_amplitude(bisect_amplitude(tol))
 
 
 def critical_coupling(profile: RadialProfile) -> float:
@@ -296,8 +288,8 @@ def profile_from_dict(data: dict) -> RadialProfile:
     return profile
 
 
-def lift_to_grid(profile: RadialProfile, grid: Grid2D, center=(0.0, 0.0)) -> Field:
-    """Sample Q(|x-center|)/sqrt(mass) on the grid and renormalize to unit mass.
+def lift_to_grid(profile: RadialProfile, grid: Grid2D) -> Field:
+    """Sample Q(|x|)/sqrt(mass) on the grid and renormalize to unit mass.
 
     The box must contain the numerically integrated body of the profile
     (radius ``tail_start``); the analytic sub-1e-5 tail may be clipped.
@@ -308,7 +300,7 @@ def lift_to_grid(profile: RadialProfile, grid: Grid2D, center=(0.0, 0.0)) -> Fie
         )
     r_max = float(profile.r[-1])
     spl = profile.spline()
-    rr = grid.radius(center)
+    rr = grid.radius()
     vals = np.where(rr <= r_max, spl(np.minimum(rr, r_max)), 0.0)
     vals /= np.sqrt(profile.mass)
     return normalize(Field(grid, vals))

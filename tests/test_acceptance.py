@@ -39,7 +39,7 @@ def harmonic_sweep(profile, a_star, grid512):
     results = continuation_sweep(V, schedule, grid512, opts, a_star=a_star)
     elapsed = time.monotonic() - t0
     report_obj = analyze_sweep(results, profile, spec.trap)
-    return report_obj, elapsed, [r.iters for r in results]
+    return report_obj, elapsed, results
 
 
 def test_criterion_1_townes_identities():
@@ -70,8 +70,9 @@ def test_criterion_2_cross_representation(profile, a_star, grid16, q0):
 
 
 def test_criterion_3_blowup_exponent(harmonic_sweep):
-    rep, elapsed, iters = harmonic_sweep
-    resolved = sum(e.resolved for e in rep.entries)
+    rep, elapsed, results = harmonic_sweep
+    iters = [r.iters for r in results]
+    resolved = sum(not r.resolution_warning for r in results)
     slope = rep.fitted_exponent
     pref = rep.fitted_prefactor
     pref_rel = abs(pref - rep.predicted_prefactor) / rep.predicted_prefactor
@@ -92,8 +93,8 @@ def test_criterion_3_blowup_exponent(harmonic_sweep):
 
 
 def test_criterion_4_profile_convergence(harmonic_sweep):
-    rep, _, _ = harmonic_sweep
-    resolved = [e for e in rep.entries if e.resolved]
+    rep, _, results = harmonic_sweep
+    resolved = [e for e, r in zip(rep.entries, results) if not r.resolution_warning]
     dists = [e.l2_dist for e in resolved]
     most_critical = dists[-1]
     nonincreasing = all(b <= a + 1e-2 for a, b in zip(dists, dists[1:]))

@@ -102,7 +102,6 @@ def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
     "argv",
     [
         ["soliton", "--tol", "1e-3", "--out", "{tmp}/p.json"],
-        ["soliton", "--mesh-size", "100", "--out", "{tmp}/p.json"],
         ["energy", "--field", "{tmp}/u64.gpf", "--potential", "{tmp}/v32.gpf", "--a", "1"],
         ["check-v2", "--potential", "sinc", "--L", "8", "--n", "64", "--field", "{tmp}/u32.gpf"],
         # a tol the Pohozaev gate cannot meet is refused before the solve
@@ -490,5 +489,8 @@ def test_check_v2_json(capsys):
     assert report["attained_interior"] is True
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(tmp_path):
     assert run(["frobnicate"]) == 2
+    # an unknown flag: the Townes mesh is fixed, gp soliton has no --mesh-size
+    assert run(["soliton", "--mesh-size", "100", "--out", str(tmp_path / "p.json")]) == 2
+    assert not (tmp_path / "p.json").exists()
