@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
 
 Number formatting is pinned to Python's shortest round-trip repr, both in
 CSV cells and in JSON, so identical configs reproduce outputs byte for byte.
+JSON is written as one compact line with sorted keys.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _fmt(x) -> str:
 
 
 def _dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
