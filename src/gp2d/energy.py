@@ -72,11 +72,18 @@ class Functional:
         return -lap + self.V * u - self.a * (u * u * u)
 
 
+def require_unit_mass(u: Field) -> None:
+    """UnnormalizedInput unless |mass(u) - 1| <= MASS_TOL."""
+    m = mass(u)
+    if abs(m - 1.0) > MASS_TOL:
+        raise UnnormalizedInput(f"a unit-mass field is required, got mass {m}")
+
+
 def energy(u: Field, V: Field, a: float, check_mass: bool = True) -> EnergyBreakdown:
     """Breakdown of E_a(u), V on u's grid.  Requires unit mass unless check_mass=False."""
     require_same_grid(u.grid, V.grid)
-    if check_mass and abs(mass(u) - 1.0) > MASS_TOL:
-        raise UnnormalizedInput(f"mass(u) = {mass(u)}, expected 1")
+    if check_mass:
+        require_unit_mass(u)
     return Functional(u.grid, V.values, a).energy(u.values, fft.rfft2(u.values))
 
 
@@ -141,8 +148,7 @@ def resample_dilation(u: Field, ell: float) -> Field:
 def dilation_scan(u: Field, V: Field, a: float, scales) -> list[EnergyBreakdown]:
     """Evaluate E_a along the dilation family u_ell; for V=0 kinetic and
     quartic parts scale as ell^2."""
-    if abs(mass(u) - 1.0) > MASS_TOL:
-        raise UnnormalizedInput("dilation_scan requires a normalized field")
+    require_unit_mass(u)
     out = []
     for ell in scales:
         out.append(energy(dilate(u, float(ell)), V, a))

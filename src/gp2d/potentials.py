@@ -16,9 +16,17 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import MASS_TOL
-from .errors import ConfigError, FileFormatError
-from .grid import Field, Grid2D, convolve_potential, make_grid, mass, peak_location, read_gpf
+from .energy import require_unit_mass
+from .errors import ConfigError
+from .grid import (
+    Field,
+    Grid2D,
+    convolve_potential,
+    make_grid,
+    peak_location,
+    read_gpf,
+    require_same_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -156,11 +164,7 @@ class FilePotential(PotentialSpec):
 
     def sample(self, grid):
         u = read_gpf(self.path)
-        if u.grid != grid:
-            raise FileFormatError(
-                f"potential file grid (L={u.grid.L}, n={u.grid.n}) does not match "
-                f"(L={grid.L}, n={grid.n})"
-            )
+        require_same_grid(u.grid, grid)
         return u
 
     def ess_inf(self):
@@ -238,16 +242,15 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
     two cells inside the box (anywhere, for a periodic potential) and the
     minimum of the same density convolved on a box of doubled half-width
     agrees with it to 1e-3.  File potentials exist only on their own grid
-    and skip that doubling check.  A u off grid, a non-finite eps or a
-    density without unit mass raises ValueError.
+    and skip that doubling check.  A u off grid or a non-finite eps raises
+    ValueError, a u without unit mass UnnormalizedInput.
 
     This evaluates the attainment condition for the specific density |u|^2;
     it reports, it does not prove the universally quantified statement.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    if abs(mass(u) - 1.0) > MASS_TOL:
-        raise ValueError("attainment check requires a unit-mass density")
+    require_unit_mass(u)
     V = realize(spec, grid)
     dens = Field(u.grid, u.values**2)
     conv = convolve_potential(V, dens)  # ValueError unless u lives on grid

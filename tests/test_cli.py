@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 import struct
 from pathlib import Path
 
@@ -494,3 +495,15 @@ def test_usage_error_exits_2(tmp_path):
     # an unknown flag: the Townes mesh is fixed, gp soliton has no --mesh-size
     assert run(["soliton", "--mesh-size", "100", "--out", str(tmp_path / "p.json")]) == 2
     assert not (tmp_path / "p.json").exists()
+
+
+def test_readme_cli_examples_parse():
+    # every `gp ...` line of README's CLI block names only flags gp has
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("gp ")]
+    assert len(examples) == 7
+    parser = cli.build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]

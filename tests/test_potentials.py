@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gp2d.errors import ConfigError, FileFormatError
+from gp2d.errors import ConfigError, UnnormalizedInput
 from gp2d.grid import Field, make_grid, write_gpf
 from gp2d.minimizer import gaussian_init
 from gp2d.potentials import (
@@ -105,7 +105,7 @@ def test_file_potential_round_trip(tmp_path, grid_small):
     spec = parse_potential(f"file:{path}")
     V2 = realize(spec, grid_small)
     assert np.array_equal(V.values, V2.values)
-    with pytest.raises(FileFormatError):
+    with pytest.raises(ValueError, match="different grids"):
         realize(spec, make_grid(grid_small.L, 2 * grid_small.n))
 
 
@@ -155,9 +155,9 @@ def test_check_v2_constant_degenerate(grid_small):
 def test_check_v2_requires_unit_mass(grid_small):
     spec = Zero()
     u = Field(grid_small, np.full((grid_small.n, grid_small.n), 0.3))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnnormalizedInput):
         check_v2(spec, u, eps=0.01, grid=grid_small)
-    # the same unit-mass tolerance as energy(): |mass - 1| > MASS_TOL = 1e-8
+    # the same unit-mass check as energy(): |mass - 1| > MASS_TOL = 1e-8
     u = Field(grid_small, gaussian_init(grid_small).values * np.sqrt(1.0 + 1e-7))
-    with pytest.raises(ValueError, match="unit-mass"):
+    with pytest.raises(UnnormalizedInput, match="unit-mass"):
         check_v2(spec, u, eps=0.01, grid=grid_small)
