@@ -103,6 +103,7 @@ def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
     "argv",
     [
         ["soliton", "--tol", "1e-3", "--out", "{tmp}/p.json"],
+        ["soliton", "--tol", "1e-16", "--out", "{tmp}/p.json"],
         ["energy", "--field", "{tmp}/u64.gpf", "--potential", "{tmp}/v32.gpf", "--a", "1"],
         ["check-v2", "--potential", "sinc", "--L", "8", "--n", "64", "--field", "{tmp}/u32.gpf"],
         # a tol the Pohozaev gate cannot meet is refused before the solve
