@@ -137,7 +137,8 @@ def resample_dilation(u: Field, ell: float) -> Field:
     start: there a width below MIN_WIDTH_CELLS cells is still the best guess.
     """
     g = u.grid
-    vals = ell * resample_affine(u, ell)
+    vals = resample_affine(u, ell)
+    vals *= ell
     # keep only samples whose preimage ell*x stays inside the fundamental box;
     # the periodic interpolant would otherwise alias in wrapped ghost copies
     keep = np.abs(g.x) * ell <= g.L

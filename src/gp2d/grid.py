@@ -142,9 +142,13 @@ def kinetic(u: Field) -> float:
 def convolve_potential(V: Field, dens: Field) -> Field:
     """Periodic convolution (V * dens)(y) at the samples y = x_i, by DFT product."""
     require_same_grid(V.grid, dens.grid)
+    # products in place and the spectrum dropped before the roll: on
+    # check_v2's doubled box each full-size temporary is (2n)^2 doubles
     vh = fft.rfft2(V.values)
-    dh = fft.rfft2(dens.values)
-    out = fft.irfft2(vh * dh, s=V.values.shape) * V.grid.weight
+    vh *= fft.rfft2(dens.values)
+    out = fft.irfft2(vh, s=V.values.shape)
+    del vh
+    out *= V.grid.weight
     # both factors count their samples from -L, so the cyclic product lands
     # at x_i - L; half a period brings it back to x_i
     half = V.grid.n // 2
@@ -176,7 +180,8 @@ def resample_affine(u: Field, scale: float, offset=(0.0, 0.0)) -> np.ndarray:
     (Bluestein's algorithm): FFTs only, no dense n x n products.
     """
     g = u.grid
-    spec = fft.fftshift(fft.fft2(u.values)) / g.n**2
+    spec = fft.fftshift(fft.fft2(u.values))
+    spec /= g.n**2
     spec = _chirp_z_rows(spec, scale, offset[0], g.L)
     return _chirp_z_rows(spec.T, scale, offset[1], g.L).real.T
 

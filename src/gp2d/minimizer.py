@@ -7,7 +7,9 @@ by taking the absolute value after each step.
 
 The descent direction is preconditioned by (c - Lap)^{-1} with c =
 max(1, |mu|); the residual, termination test, and all reported quantities
-use the plain projected gradient.
+use the plain projected gradient.  A flow whose rounding floor lies above the
+tolerance stops at the floor: two iterations in a row that each accept no
+step, or accept one only after FLOOR_HALVINGS halvings, end it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .grid import Field, Grid2D, normalize, require_same_grid
 CRITICALITY_MARGIN = 1e-4
 STEP_INIT = 0.5
 BACKTRACK_FACTOR = 0.5
+# an accepted step that needed this many halvings passed Armijo by rounding:
+# the flow has reached its floor, and two such steps or stalls in a row end it
+FLOOR_HALVINGS = 20
 
 _log = logging.getLogger(__name__)
 
@@ -159,6 +164,7 @@ def minimize(
         prev_u = uvals  # rebound below, never written in place
         prev_pg = pg
         accepted = False
+        tried = backtracks
         while tau > 1e-14:
             cand = uvals - tau * d
             # positivity enforcement: flip genuinely negative excursions, but
@@ -192,8 +198,13 @@ def minimize(
             prev_u = None
             prev_pg = None
             continue
-        stalled = 0
         trace.append(E)
+        if backtracks - tried < FLOOR_HALVINGS:
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 2:
+                break
 
     if not converged and accepted:
         # the budget ran out right after a step: mu and the residual so far

@@ -140,8 +140,7 @@ class Sinc(PotentialSpec):
     def sample(self, grid):
         rr = grid.radius()
         vals = np.ones_like(rr)
-        nz = rr > 0
-        vals[nz] = np.sin(rr[nz]) / rr[nz]
+        np.divide(np.sin(rr), rr, out=vals, where=rr > 0)
         return Field(grid, vals)
 
     def ess_inf(self):

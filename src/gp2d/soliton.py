@@ -301,6 +301,7 @@ def lift_to_grid(profile: RadialProfile, grid: Grid2D) -> Field:
     r_max = float(profile.r[-1])
     spl = profile.spline()
     rr = grid.radius()
-    vals = np.where(rr <= r_max, spl(np.minimum(rr, r_max)), 0.0)
+    vals = spl(np.minimum(rr, r_max))
+    vals[rr > r_max] = 0.0
     vals /= np.sqrt(profile.mass)
     return normalize(Field(grid, vals))

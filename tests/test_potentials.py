@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,14 @@ def test_sinc_shape(grid16):
     assert V.values.min() >= Sinc().ess_inf() - 1e-9
 
 
+def test_sinc_sample_matches_the_masked_quotient(grid16):
+    rr = grid16.radius()
+    nz = rr > 0
+    expected = np.ones_like(rr)
+    expected[nz] = np.sin(rr[nz]) / rr[nz]
+    assert np.array_equal(realize(Sinc(), grid16).values, expected)
+
+
 def test_sinc_min_value():
     # independent check on a fine radial mesh
     r = np.linspace(1e-6, 20.0, 2_000_001)
@@ -161,3 +171,19 @@ def test_check_v2_requires_unit_mass(grid_small):
     u = Field(grid_small, gaussian_init(grid_small).values * np.sqrt(1.0 + 1e-7))
     with pytest.raises(UnnormalizedInput, match="unit-mass"):
         check_v2(spec, u, eps=0.01, grid=grid_small)
+
+
+@pytest.mark.parametrize("spec", [Sinc(), Lattice(s=1.0, period=4.0)])
+def test_check_v2_peak_memory_on_the_doubled_box(grid_small, spec):
+    # the doubling test convolves on a 2n x 2n box: V, the embedded density,
+    # one spectrum and the inverse transform are live at its peak, with the
+    # second spectrum, the roll or the inverse's own work space
+    u = gaussian_init(grid_small)
+    tracemalloc.start()
+    try:
+        check_v2(spec, u, eps=0.01, grid=grid_small)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    doubled_box = 8 * (2 * grid_small.n) ** 2
+    assert peak / doubled_box <= 5.5

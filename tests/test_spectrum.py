@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import dft, eigh
 
 from gp2d.grid import Field, make_grid
-from gp2d.potentials import PowerWell, realize
+from gp2d.minimizer import MinimizerOptions, minimize
+from gp2d.potentials import Constant, Lattice, PowerWell, realize
 from gp2d.spectrum import check_v1, ground_energy
 
 
@@ -37,6 +38,26 @@ def test_truncated_harmonic_against_dense_oracle(grid16):
     oracle = 2.0 * dense_1d_ground_energy(grid16.L, grid16.n, v1d)
     assert lam == pytest.approx(oracle, abs=1e-6)
     assert lam == pytest.approx(2.0 * np.sqrt(spec.h0), abs=1e-3)
+
+
+@pytest.mark.parametrize("spec, L, n, budget, within", [
+    (Lattice(s=1.0, period=4.0), 4.0, 16, 2000, 500),
+    (Constant(c=5.0), 16.0, 32, 5000, 1000),
+])
+def test_flow_stops_at_its_rounding_floor(spec, L, n, budget, within):
+    # tol 1e-8 lies below these flows' floor; each step there passes Armijo
+    # only by rounding after 20 or more halvings, and two in a row end the run
+    g = make_grid(L, n)
+    V = realize(spec, g)
+    res = minimize(V, 0.0, g, MinimizerOptions(tol_residual=1e-8, max_iters=budget))
+    assert res.iters < within
+    assert res.residual <= 100.0 * 1e-8
+    if isinstance(spec, Lattice):  # separable: twice the 1D ground energy
+        v1d = spec.s * np.cos(2.0 * np.pi * g.x / spec.period)
+        oracle = 2.0 * dense_1d_ground_energy(L, n, v1d)
+    else:
+        oracle = spec.c
+    assert res.mu == pytest.approx(oracle, abs=1e-12)
 
 
 def test_check_v1_passes_for_well(grid16):
