@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidGrid, OddSampleCount
 from .grid import Grid2D, make_grid
-from .minimizer import MinimizerOptions, ascending_schedule
+from .minimizer import CRITICALITY_MARGIN, MinimizerOptions, ascending_schedule
 from .potentials import PotentialSpec, parse_potential
 
 KNOWN_KEYS = {
@@ -45,6 +46,10 @@ class SweepConfig:
                 raise ConfigError(f"malformed geometric schedule {text!r}") from exc
             if not (0 < start < 1 and 0 < ratio < 1 and count >= 1):
                 raise ConfigError(f"geometric schedule out of range: {text!r}")
+            # start * ratio^(count - 1) <= margin, in logs so that no count overflows
+            if count - 1 >= math.log(CRITICALITY_MARGIN / start) / math.log(ratio):
+                raise ConfigError(f"geometric schedule {text!r} ends within the criticality "
+                                  "margin of the critical coupling, whatever a* is")
             return [a_star * (1.0 - start * ratio**k) for k in range(count)]
         try:
             values = ascending_schedule(float(tok) for tok in text.split(",") if tok.strip())

@@ -46,6 +46,8 @@ class Functional:
     """
 
     def __init__(self, grid: Grid2D, V=0.0, a: float = 0.0):
+        if not np.isfinite(a):
+            raise ValueError(f"coupling must be finite, got {a}")
         self.grid = grid
         self.V = V
         self.a = a

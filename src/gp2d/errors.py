@@ -22,7 +22,7 @@ class OddSampleCount(InputError):
 
 
 class InvalidGrid(InputError):
-    """Grid parameters out of range (L not finite and positive, or n < 16)."""
+    """Grid parameters out of range (L, n < 16, or the dx and box they imply)."""
 
 
 class FileFormatError(InputError):

@@ -30,12 +30,16 @@ class Grid2D:
     dx: float = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise InvalidGrid(f"half-width must be finite and positive, got {self.L}")
         if self.n % 2 != 0:
             raise OddSampleCount(f"sample count must be even, got {self.n}")
         if self.n < 16:
             raise InvalidGrid(f"sample count must be >= 16, got {self.n}")
+        # dx^2, (2L)^2 and (pi/dx)^2 in Python floats, which overflow without a warning
+        side = 2.0 * float(self.L)
+        if not (side > 0 and all(0.0 < q * q < np.inf
+                                 for q in (side / self.n, side, np.pi * self.n / side))):
+            raise InvalidGrid(f"half-width must be positive with dx^2, (2L)^2 and (pi/dx)^2 "
+                              f"finite and nonzero, got {self.L}")
         object.__setattr__(self, "dx", 2.0 * self.L / self.n)
 
     @property

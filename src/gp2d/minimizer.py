@@ -8,8 +8,9 @@ by taking the absolute value after each step.
 The descent direction is preconditioned by (c - Lap)^{-1} with c =
 max(1, |mu|); the residual, termination test, and all reported quantities
 use the plain projected gradient.  A flow whose rounding floor lies above the
-tolerance stops at the floor: two iterations in a row that each accept no
-step, or accept one only after FLOOR_HALVINGS halvings, end it.
+tolerance stops there: an iteration that takes no step, or takes one only
+after 20 (FLOOR_HALVINGS) halvings of the trial step, adds one to a count
+that any other step resets, and a count of two ends the run.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ class MinimizerOptions:
 @dataclass
 class MinimizerResult:
     """The returned iterate u with its energy E, Lagrange multiplier mu and
-    projected-gradient residual, all evaluated at u.
+    projected-gradient residual, all evaluated at u however the run ended.
 
-    backtracks counts the trial steps the Armijo test rejected, flips the
-    accepted steps whose candidate the positivity flip changed, stalls the
-    iterations that accepted no step.
+    The run ends when the residual reaches the tolerance, after max_iters
+    iterations, or at its rounding floor: an iteration that takes no step, or
+    takes one only after 20 (FLOOR_HALVINGS) halvings of the trial step, adds
+    one to a count that any other step resets, and a count of two ends the
+    run.  backtracks counts the trial steps the Armijo test rejected, flips
+    the accepted steps whose candidate the positivity flip changed, stalls
+    the iterations that accepted no step.
     """
 
     u: Field
@@ -136,12 +141,11 @@ def minimize(
     uh = fft.rfft2(uvals)
     E = func.energy(uvals, uh).total
     trace = [E]
-    converged = accepted = False
-    prev_u = None
-    prev_pg = None
+    pg, mu, residual = _projected_gradient(func, uvals, uh)
+    prev_u, prev_pg = uvals, pg  # s = 0 now and after a stall: tau = STEP_INIT
+    converged = False
     stalled = stalls = backtracks = flips = 0  # stalled: in a row
     for iters in range(1, opts.max_iters + 1):
-        pg, mu, residual = _projected_gradient(func, uvals, uh)
         if not math.isfinite(residual):
             raise NonFiniteIterate(f"non-finite residual at iteration {iters} (a = {a})")
         if residual <= opts.tol_residual:
@@ -154,16 +158,13 @@ def minimize(
         d -= (np.sum(d * uvals) * w) * uvals
         slope = float(np.sum(pg * d) * w)  # > 0 for an SPD preconditioner
         # Barzilai-Borwein guess for the trial step, clipped for safety
+        s = uvals - prev_u
+        denom = float(np.sum(s * (pg - prev_pg)))
         tau = STEP_INIT
-        if prev_u is not None:
-            s = uvals - prev_u
-            y = pg - prev_pg
-            denom = float(np.sum(s * y))
-            if denom != 0.0 and np.isfinite(denom):
-                tau = min(max(abs(float(np.sum(s * s)) / denom), 1e-6), 50.0)
-        prev_u = uvals  # rebound below, never written in place
-        prev_pg = pg
-        accepted = False
+        if denom != 0.0 and np.isfinite(denom):
+            tau = min(max(abs(float(np.sum(s * s)) / denom), 1e-6), 50.0)
+        prev_u, prev_pg = uvals, pg  # rebound below, never written in place
+        stalled += 1  # until a step that passes Armijo by more than rounding
         tried = backtracks
         while tau > 1e-14:
             cand = uvals - tau * d
@@ -183,33 +184,19 @@ def minimize(
                 raise NonFiniteIterate(f"non-finite trial energy at iteration {iters} (a = {a})")
             if E_cand <= E - 1e-4 * tau * slope:
                 uvals, uh, E = cand, ch, E_cand
-                accepted = True
+                trace.append(E)
                 flips += flipped
+                if backtracks - tried < FLOOR_HALVINGS:
+                    stalled = 0
+                pg, mu, residual = _projected_gradient(func, uvals, uh)
                 break
             backtracks += 1
             tau *= BACKTRACK_FACTOR
-        if not accepted:
-            # step underflow: drop the Barzilai-Borwein memory and retry once
-            # before reporting the best iterate
-            stalled += 1
-            stalls += 1
-            if stalled >= 2:
-                break
-            prev_u = None
-            prev_pg = None
-            continue
-        trace.append(E)
-        if backtracks - tried < FLOOR_HALVINGS:
-            stalled = 0
         else:
-            stalled += 1
-            if stalled >= 2:
-                break
+            stalls += 1  # the trial step underflowed: u has not moved
+        if stalled >= 2:
+            break
 
-    if not converged and accepted:
-        # the budget ran out right after a step: mu and the residual so far
-        # describe the iterate before the one returned
-        _, mu, residual = _projected_gradient(func, uvals, uh)
     eps = 1.0 / np.sqrt(func.kinetic(uh))
     return MinimizerResult(
         u=Field(grid, uvals),

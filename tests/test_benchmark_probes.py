@@ -8,9 +8,16 @@ import ast
 import dataclasses
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
-from gp2d.minimizer import MinimizerResult, minimize
+from scipy import fft
+
+from gp2d import energy, minimizer
+from gp2d.grid import make_grid
+from gp2d.minimizer import MinimizerOptions, MinimizerResult, minimize
+from gp2d.potentials import Sinc, realize
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 RUN_PY = BENCHMARK / "run.py"
@@ -71,3 +78,32 @@ def test_minimize_takes_the_positional_call_of_iteration_ms():
     params = list(inspect.signature(minimize).parameters.values())[:4]
     assert [p.name for p in params] == ["V", "a", "grid", "opts"]
     assert all(p.kind == p.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def test_minimize_makes_the_transforms_run_py_decomposes(monkeypatch):
+    # run.py infers accepted steps, trial evaluations and stall retries from
+    # the rfft2/irfft2 counts of each traced minimize() and reports a round
+    # whose counts do not decompose as below as not correct
+    counts = Counter()
+
+    def counted(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return getattr(fft, name)(*args, **kwargs)
+        return call
+
+    transforms = SimpleNamespace(rfft2=counted("rfft2"), irfft2=counted("irfft2"))
+    monkeypatch.setattr(minimizer, "fft", transforms)
+    monkeypatch.setattr(energy, "fft", transforms)
+    grid = make_grid(8.0, 64)
+    res = minimize(realize(Sinc(), grid), 5.0, grid, MinimizerOptions(tol_residual=1e-6))
+    iters, accepted = res.iters, len(res.energy_trace) - 1
+    assert res.converged and res.stalls == 0 and res.backtracks > 0
+    # one rfft2 and one Laplacian irfft2 to start; per iteration that does not
+    # stop, an rfft2/irfft2 pair for the preconditioner and an rfft2 per
+    # trial; a Laplacian irfft2 after each accepted step
+    assert counts["irfft2"] == 2 * iters - 1
+    assert counts["rfft2"] == iters + accepted + res.backtracks
+    full = counts["irfft2"] - iters
+    trials = counts["rfft2"] - 1 - full
+    assert accepted <= full <= iters and trials >= accepted

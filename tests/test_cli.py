@@ -86,6 +86,9 @@ def test_odd_sample_count_exits_2(argv, capsys):
         (["sweep"], "potential = zero\nL = nan\nn = 16\na_schedule = 1\n"),
         (["sweep"], "potential = zero\nL = 8\nn = 16\na_schedule = nan\nmax_iters = 50\n"),
         (["check-v1", "--potential", "sinc", "--L", "8", "--n", "32", "--tol", "inf"], None),
+        # (2L)^2 overflows; dx^2 and (pi/dx)^2 under- and overflow
+        (["check-v1", "--potential", "sinc", "--L", "1e300", "--n", "32"], None),
+        (["check-v2", "--potential", "sinc", "--L", "1e-300", "--n", "32"], None),
     ],
 )
 def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
@@ -108,6 +111,8 @@ def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
         ["check-v2", "--potential", "sinc", "--L", "8", "--n", "64", "--field", "{tmp}/u32.gpf"],
         # a tol the Pohozaev gate cannot meet is refused before the solve
         ["soliton", "--tol", "1e-6", "--out", "{tmp}/p.json"],
+        ["energy", "--field", "{tmp}/u32.gpf", "--potential", "{tmp}/v32.gpf", "--a", "nan"],
+        ["energy", "--field", "{tmp}/u32.gpf", "--potential", "{tmp}/v32.gpf", "--a", "inf"],
     ],
 )
 def test_refused_subcommand_inputs_exit_2(argv, tmp_path, capsys):

@@ -60,6 +60,9 @@ def test_explicit_schedule():
         "potential = zero\nL = 8\nn = 32\na_schedule = 1.0, nan\n",
         "potential = zero\nL = 8\nn = 32\na_schedule = ,\n",
         "potential = zero\nL = 8\nn = 32\na_schedule = geom:0.05,0.65\n",
+        "potential = zero\nL = 1e300\nn = 32\na_schedule = 1\n",  # (2L)^2 overflows
+        # its last coupling lies within the criticality margin of any a*
+        "potential = zero\nL = 8\nn = 32\na_schedule = geom:0.05,0.5,1000000\n",
     ],
 )
 def test_parse_rejects(text):

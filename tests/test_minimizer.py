@@ -14,7 +14,7 @@ from gp2d.minimizer import (
     gaussian_init,
     minimize,
 )
-from gp2d.potentials import PowerWell, Sinc, Zero, check_v2, realize
+from gp2d.potentials import Constant, PowerWell, Sinc, Zero, check_v2, realize
 
 
 def zero_potential(grid):
@@ -109,14 +109,25 @@ def test_minimizer_invariants(grid16, a_star):
     assert projected_residual(res.u, V, 0.8 * a_star) == pytest.approx(res.residual, rel=1e-6)
 
 
-def test_unconverged_result_describes_returned_field(grid_small):
-    # a run cut off by max_iters reports mu and the residual of the field it
+def test_unconverged_result_describes_returned_field():
+    # every unconverged ending reports mu and the residual of the field it
     # returns, not of the iterate before its last step
-    V = realize(Sinc(), grid_small)
-    res = minimize(V, 5.0, grid_small, MinimizerOptions(max_iters=7))
-    assert not res.converged
-    assert res.residual == pytest.approx(projected_residual(res.u, V, 5.0), rel=1e-6)
-    assert res.mu == pytest.approx(inner(energy_gradient(res.u, V, 5.0), res.u), rel=1e-9)
+    cases = [
+        # cut off by max_iters right after a step
+        (Sinc(), 8.0, 64, 5.0, MinimizerOptions(max_iters=7), 0),
+        # the second stall in a row
+        (PowerWell(h0=1.0), 8.0, 16, 1.0, MinimizerOptions(tol_residual=1e-300), 2),
+        # a step taken only after FLOOR_HALVINGS halvings
+        (Constant(c=5.0), 16.0, 32, 0.0, MinimizerOptions(1e-8, max_iters=50000), 1),
+    ]
+    for spec, L, n, a, opts, stalls in cases:
+        grid = make_grid(L, n)
+        V = realize(spec, grid)
+        res = minimize(V, a, grid, opts)
+        assert not res.converged and res.stalls == stalls
+        # a floor step moves the residual by only about 4e-8 of itself
+        assert res.residual == pytest.approx(projected_residual(res.u, V, a), rel=1e-8, abs=0)
+        assert res.mu == pytest.approx(inner(energy_gradient(res.u, V, a), res.u), rel=1e-9)
 
 
 @pytest.mark.filterwarnings("error")
