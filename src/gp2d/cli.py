@@ -27,13 +27,7 @@ from .diagnostics import analyze_sweep
 from .energy import energy
 from .errors import ConfigError, GPError, InputError, InvalidProfile, NumericalFailure
 from .grid import make_grid, normalize, read_gpf, write_gpf
-from .minimizer import (
-    MinimizerOptions,
-    _refuse_near_critical,
-    continuation_sweep,
-    gaussian_init,
-    minimize,
-)
+from .minimizer import MinimizerOptions, continuation_sweep, gaussian_init, minimize
 from .potentials import check_v2, parse_potential, realize
 from .soliton import (
     critical_coupling,
@@ -200,10 +194,10 @@ def _run_schedule(args, profile_path=None):
     """Set-up and continuation sweep shared by gp sweep and gp blowup.
 
     The steps run in the order config, profile file (gp blowup passes its
-    path), potential, Townes solve (without a profile file), refusal of a
-    schedule that reaches the criticality margin, output directory: bad
-    input fails before the Townes solve, and a refused run leaves no
-    directory.  Returns (config, profile, manifest, results).
+    path), potential, Townes solve (without a profile file), sweep, output
+    directory: bad input fails before the Townes solve, and a schedule the
+    sweep refuses leaves no directory.  Returns (config, profile, manifest,
+    results).
     """
     cfg = load_config(args.config)
     profile = None if profile_path is None else _read_profile(profile_path)
@@ -212,13 +206,11 @@ def _run_schedule(args, profile_path=None):
     if profile is None:
         profile = _profile_cached()
     a_star = critical_coupling(profile)
-    schedule = cfg.schedule(a_star)
-    _refuse_near_critical(schedule[-1], a_star)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     _report_progress()
     manifest.data["grid"] = {"L": cfg.grid.L, "n": cfg.grid.n}
     manifest.data["a_star"] = a_star
-    results = continuation_sweep(V, schedule, cfg.grid, cfg.opts, a_star=a_star)
+    results = continuation_sweep(V, cfg.schedule(a_star), cfg.grid, cfg.opts, a_star=a_star)
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, profile, manifest, results
 
 
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=20000)
+    p.add_argument("--max-iters", type=int, default=MinimizerOptions.max_iters)
     p.add_argument("--out", help="result JSON path (default: stdout)")
     p.add_argument("--field", help="write the minimizer as GPF1")
     p.set_defaults(func=cmd_minimize)

@@ -83,7 +83,8 @@ def parse_config_text(text: str) -> SweepConfig:
             potential=parse_potential(kv["potential"]),
             grid=make_grid(float(kv["L"]), int(kv["n"])),
             a_schedule_raw=kv["a_schedule"],
-            opts=MinimizerOptions(float(kv.get("tol", 3e-6)), int(kv.get("max_iters", 20000))),
+            opts=MinimizerOptions(float(kv.get("tol", 3e-6)),
+                                  int(kv.get("max_iters", MinimizerOptions.max_iters))),
             out_dir=kv.get("out_dir", "report"),
             raw=dict(kv),
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .errors import InsufficientData, UnderResolved
+from .errors import InsufficientData
 from .grid import Field, kinetic, l2_norm, peak_location, resample_affine
 from .soliton import RadialProfile, lift_to_grid, radial_moment
 
@@ -59,11 +59,8 @@ def rescale_and_align(u: Field, eps: float) -> Field:
     center the sub-grid density peak.  The aligned field is sampled by spectral
     interpolation on u's grid, to compare with the Townes profile.
     """
-    g = u.grid
-    if eps < 2.0 * g.dx:
-        raise UnderResolved(f"width {eps:.4g} below 2 dx = {2 * g.dx:.4g}")
-    center = peak_location(g, u.values**2)
-    return Field(g, eps * resample_affine(u, eps, offset=center))
+    center = peak_location(u.grid, u.values**2)
+    return Field(u.grid, eps * resample_affine(u, eps, offset=center))
 
 
 def distance_to_townes(aligned: Field, q0: Field):
@@ -86,12 +83,8 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     trap, the potential's trap law (p, h0) when it has one (PotentialSpec.trap),
     adds the predicted exponent 1/(p+2) and prefactor to the report.
     """
-    aligned = []
-    for res in results:
-        try:
-            aligned.append(rescale_and_align(res.u, res.eps))
-        except UnderResolved:
-            aligned.append(None)
+    aligned = [None if res.eps < 2.0 * res.u.grid.dx else rescale_and_align(res.u, res.eps)
+               for res in results]
     # lifted after the alignments, whose transforms set the memory peak
     q0 = lift_to_grid(profile, results[0].u.grid) if results else None
     entries = []

@@ -65,10 +65,6 @@ class NonFiniteIterate(NumericalFailure):
     """The minimizer met a non-finite residual or trial energy."""
 
 
-class UnderResolved(NumericalFailure):
-    """Field too narrow to rescale reliably."""
-
-
 class InsufficientData(NumericalFailure):
     """Not enough resolved sweep entries for a fit."""
 

@@ -34,12 +34,14 @@ class Grid2D:
             raise OddSampleCount(f"sample count must be even, got {self.n}")
         if self.n < 16:
             raise InvalidGrid(f"sample count must be >= 16, got {self.n}")
-        # dx^2, (2L)^2 and (pi/dx)^2 in Python floats, which overflow without a warning
+        # in Python floats, which overflow without a warning; 2 pi^2 n^2/dx^4 bounds the
+        # kinetic products k^2 |u^|^2 of a unit-mass field, and its squares are finite
         side = 2.0 * float(self.L)
         if not (side > 0 and all(0.0 < q * q < np.inf
-                                 for q in (side / self.n, side, np.pi * self.n / side))):
+                                 for q in (side / self.n, side, np.pi * self.n / side))
+                and 2.0 * (np.pi * self.n / side) ** 2 * (self.n / side) ** 2 < np.inf):
             raise InvalidGrid(f"half-width must be positive with dx^2, (2L)^2 and (pi/dx)^2 "
-                              f"finite and nonzero, got {self.L}")
+                              f"finite and nonzero and 2 pi^2 n^2/dx^4 finite, got {self.L}")
         object.__setattr__(self, "dx", 2.0 * self.L / self.n)
 
     @property

@@ -79,10 +79,11 @@ class MinimizerResult:
     energy_trace: list = field(default_factory=list, repr=False)
 
 
+@np.errstate(over="ignore")  # width^2 = inf is refused; a sub-cell carrier gets exp(-inf) = 0
 def gaussian_init(grid: Grid2D, center=(0.0, 0.0), width: float = 1.0) -> Field:
     """Unit-mass Gaussian of the given width centered at ``center``."""
-    if not (np.isfinite(width) and width > 0):
-        raise ValueError(f"width must be finite and positive, got {width}")
+    if not (width > 0 and 0.0 < width * width < np.inf):
+        raise ValueError(f"width must be positive with width^2 finite and nonzero, got {width}")
     rr = grid.radius(center)
     return normalize(Field(grid, np.exp(-(rr**2) / (2.0 * width**2))))
 
@@ -280,8 +281,9 @@ def continuation_sweep(
     (see _recentered_dilate).
 
     A schedule that ends within the criticality margin of a_star is refused
-    before entry 0 runs.  Each entry logs one INFO line on this module's
-    logger.  Per-entry non-convergence is recorded in the result, not raised.
+    before entry 0 runs, which covers every entry of the ascending schedule.
+    Each entry logs one INFO line on this module's logger.  Per-entry
+    non-convergence is recorded in the result, not raised.
     """
     schedule = ascending_schedule(schedule)
     if schedule:
@@ -290,7 +292,7 @@ def continuation_sweep(
     for i, a in enumerate(schedule):
         start = time.perf_counter()
         init = _warm_start(schedule, [r.u for r in results], a_star)
-        res = minimize(V, a, grid, opts, init=init, a_star=a_star)
+        res = minimize(V, a, grid, opts, init=init)
         results.append(res)
         _log.info(
             "sweep entry %d of %d: a/a* %.6f, %d iters, residual %.2e, eps/dx %.2f, "

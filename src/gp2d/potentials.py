@@ -57,8 +57,8 @@ class PotentialSpec(ABC):
         return True, ""
 
     @abstractmethod
-    def sample(self, grid: Grid2D) -> Field:
-        """V at the grid's samples."""
+    def sample(self, grid: Grid2D) -> np.ndarray:
+        """V at the grid's samples (realize is the one caller)."""
 
     @abstractmethod
     def ess_inf(self) -> float:
@@ -70,7 +70,7 @@ class Zero(PotentialSpec):
     kind = "zero"
 
     def sample(self, grid):
-        return Field(grid, np.zeros((grid.n, grid.n)))
+        return np.zeros((grid.n, grid.n))
 
     def ess_inf(self):
         return 0.0
@@ -82,7 +82,7 @@ class Constant(PotentialSpec):
     c: float = 0.0
 
     def sample(self, grid):
-        return Field(grid, np.full((grid.n, grid.n), self.c))
+        return np.full((grid.n, grid.n), self.c)
 
     def ess_inf(self):
         return float(self.c)
@@ -105,7 +105,7 @@ class PowerWell(PotentialSpec):
         return self.p, self.h0
 
     def sample(self, grid):
-        return Field(grid, self.h0 * np.minimum(grid.radius(), self.rcut) ** self.p)
+        return self.h0 * np.minimum(grid.radius(), self.rcut) ** self.p
 
     def ess_inf(self):
         return 0.0
@@ -125,7 +125,7 @@ class Lattice(PotentialSpec):
 
     def sample(self, grid):
         cx = np.cos(2.0 * np.pi * grid.x / self.period)
-        return Field(grid, self.s * (cx[None, :] + cx[:, None]))
+        return self.s * (cx[None, :] + cx[:, None])
 
     def ess_inf(self):
         return -2.0 * abs(self.s)
@@ -141,7 +141,7 @@ class Sinc(PotentialSpec):
         rr = grid.radius()
         vals = np.ones_like(rr)
         np.divide(np.sin(rr), rr, out=vals, where=rr > 0)
-        return Field(grid, vals)
+        return vals
 
     def ess_inf(self):
         # the global minimum lies on the circle r = r* in (pi, 3pi/2) where
@@ -164,7 +164,7 @@ class FilePotential(PotentialSpec):
     def sample(self, grid):
         u = read_gpf(self.path)
         require_same_grid(u.grid, grid)
-        return u
+        return u.values
 
     def ess_inf(self):
         # the sampled minimum less a modulus-of-continuity allowance of half a
@@ -210,8 +210,12 @@ def parse_potential(text: str) -> PotentialSpec:
 
 
 def realize(spec: PotentialSpec, grid: Grid2D) -> Field:
-    """Sample the potential on the grid."""
-    return spec.sample(grid)
+    """Sample the potential on the grid; ConfigError if a sample overflows."""
+    with np.errstate(over="ignore"):  # refused below instead
+        values = spec.sample(grid)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"potential {spec} has non-finite samples on {grid}")
+    return Field(grid, values)
 
 
 @dataclass(frozen=True)

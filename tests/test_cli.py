@@ -89,6 +89,12 @@ def test_odd_sample_count_exits_2(argv, capsys):
         # (2L)^2 overflows; dx^2 and (pi/dx)^2 under- and overflow
         (["check-v1", "--potential", "sinc", "--L", "1e300", "--n", "32"], None),
         (["check-v2", "--potential", "sinc", "--L", "1e-300", "--n", "32"], None),
+        # 2 pi^2 n^2/dx^4, the bound on the kinetic products k^2 |u^|^2, overflows
+        (["check-v1", "--potential", "sinc", "--L", "1e-150", "--n", "32"], None),
+        (["check-v1", "--potential", "sinc", "--L", "1e-100", "--n", "32"], None),
+        # samples of the potential overflow
+        (["check-v1", "--potential", "power_well h0=1e308 p=4", "--L", "16", "--n", "32"], None),
+        (["check-v2", "--potential", "lattice s=1e308", "--L", "16", "--n", "32"], None),
     ],
 )
 def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
@@ -291,6 +297,28 @@ def test_sweep_reaching_the_criticality_margin_fails_before_entry_0(tmp_path, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "blowup"])
+def test_absolute_schedule_reaching_the_criticality_margin_fails_before_entry_0(
+        command, profile, tmp_path, monkeypatch, capsys):
+    def no_entry(*args, **kwargs):
+        raise AssertionError("a sweep entry ran before its last coupling was checked")
+
+    monkeypatch.setattr(minimizer, "minimize", no_entry)
+    prof = tmp_path / "p.json"
+    prof.write_text(json.dumps(soliton.profile_to_dict(profile)))
+    out = tmp_path / "rep"
+    cfg = tmp_path / "sweep.cfg"
+    # 11.7 lies within the margin of a* = 11.7009..., which only a* itself tells
+    cfg.write_text(f"potential = zero\nL = 8\nn = 16\na_schedule = 1.0, 11.7\nout_dir = {out}\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "blowup":
+        argv += ["--profile", str(prof)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "critical coupling" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sweep_unconverged_exits_3(tmp_path, capsys):
     out = tmp_path / "rep"
     cfg = tmp_path / "sweep.cfg"
@@ -479,7 +507,8 @@ def test_check_v1_file_potential(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [["--width", "0"], ["--width", "-1"], ["--eps", "nan"]])
+@pytest.mark.parametrize("bad", [["--width", "0"], ["--width", "-1"], ["--eps", "nan"],
+                                 ["--width", "1e155"], ["--width", "1e300"], ["--width", "1e-300"]])
 def test_check_v2_bad_numbers_exit_2(bad, capsys):
     argv = ["check-v2", "--potential", "sinc", "--L", "8", "--n", "32", *bad]
     assert run(argv) == 2

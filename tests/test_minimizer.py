@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gp2d.minimizer as minimizer
 from gp2d.energy import MIN_WIDTH_CELLS, Functional, dilate, energy, energy_gradient, eps_width
 from gp2d.errors import CriticalCouplingGuard, NonFiniteIterate, ResolutionExceeded
 from gp2d.grid import Field, inner, l2_norm, make_grid, mass, normalize
@@ -72,6 +73,17 @@ def test_a_field_on_another_grid_is_refused():
 def test_criticality_guard(grid_small, a_star):
     with pytest.raises(CriticalCouplingGuard):
         minimize(zero_potential(grid_small), a_star, grid_small, a_star=a_star)
+
+
+def test_sweep_reaching_the_criticality_margin_fails_before_entry_0(grid_small, a_star,
+                                                                     monkeypatch):
+    def no_entry(*args, **kwargs):
+        raise AssertionError("a sweep entry ran before its last coupling was checked")
+
+    monkeypatch.setattr(minimizer, "minimize", no_entry)
+    # 11.7 lies within the margin of a* = 11.7009...; 1.0 does not
+    with pytest.raises(CriticalCouplingGuard):
+        continuation_sweep(zero_potential(grid_small), [1.0, 11.7], grid_small, a_star=a_star)
 
 
 def test_free_subcritical_is_constant(grid_small, a_star):
