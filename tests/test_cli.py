@@ -304,14 +304,14 @@ def test_absolute_schedule_reaching_the_criticality_margin_fails_before_entry_0(
         raise AssertionError("a sweep entry ran before its last coupling was checked")
 
     monkeypatch.setattr(minimizer, "minimize", no_entry)
-    prof = tmp_path / "p.json"
-    prof.write_text(json.dumps(soliton.profile_to_dict(profile)))
     out = tmp_path / "rep"
     cfg = tmp_path / "sweep.cfg"
     # 11.7 lies within the margin of a* = 11.7009..., which only a* itself tells
     cfg.write_text(f"potential = zero\nL = 8\nn = 16\na_schedule = 1.0, 11.7\nout_dir = {out}\n")
     argv = [command, "--config", str(cfg)]
     if command == "blowup":
+        prof = tmp_path / "p.json"
+        prof.write_text(json.dumps(soliton.profile_to_dict(profile)))
         argv += ["--profile", str(prof)]
     assert run(argv) == 2
     err = capsys.readouterr().err
