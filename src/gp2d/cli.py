@@ -193,15 +193,21 @@ def _read_profile(path):
 def _run_schedule(args, profile_path=None):
     """Set-up and continuation sweep shared by gp sweep and gp blowup.
 
-    The steps run in the order config, profile file (gp blowup passes its
-    path), potential, Townes solve (without a profile file), sweep, output
-    directory: bad input fails before the Townes solve, and a schedule the
-    sweep refuses leaves no directory.  Returns (config, profile, manifest,
-    results).
+    The steps run in the order config, output path check, profile file (gp
+    blowup passes its path), potential, Townes solve (without a profile
+    file), sweep, output directory: bad input fails before the Townes solve,
+    and a schedule the sweep refuses leaves no directory.  Returns (config,
+    profile, manifest, results).
     """
     cfg = load_config(args.config)
+    out_dir = Path(args.out or cfg.out_dir)
+    full = out_dir.absolute()
+    nearest = next(p for p in (full, *full.parents) if p.exists() or p.is_symlink())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot make output directory {str(out_dir)!r}: "
+                          f"{str(nearest)!r} is not a directory")
     profile = None if profile_path is None else _read_profile(profile_path)
-    manifest = _Manifest(args.command, cfg.raw, Path(args.out or cfg.out_dir))
+    manifest = _Manifest(args.command, cfg.raw, out_dir)
     V = realize(cfg.potential, cfg.grid)
     if profile is None:
         profile = _profile_cached()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidGrid, OddSampleCount
 from .grid import Grid2D, make_grid
@@ -27,8 +27,8 @@ class SweepConfig:
     grid: Grid2D
     a_schedule_raw: str
     opts: MinimizerOptions
-    out_dir: str = "report"
-    raw: dict = field(default_factory=dict)
+    out_dir: str
+    raw: dict
 
     def schedule(self, a_star: float) -> list[float]:
         """Resolve the schedule: absolute comma list or geom:start,ratio,count

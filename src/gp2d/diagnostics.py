@@ -78,7 +78,7 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
     Entry i belongs to results[i].  Each result is aligned once
     (rescale_and_align) and its entry carries the aligned field; results
     narrower than 2 cells are not aligned and get NaN distances.  The fit is
-    blowup_fit(results, a*).
+    blowup_fit(results, a*); its fields stay None when there is none.
 
     trap, the potential's trap law (p, h0) when it has one (PotentialSpec.trap),
     adds the predicted exponent 1/(p+2) and prefactor to the report.
@@ -92,13 +92,9 @@ def analyze_sweep(results, profile: RadialProfile, trap=None) -> SweepReport:
         l2, h1 = (np.nan, np.nan) if w is None else distance_to_townes(w, q0)
         entries.append(SweepEntry(l2_dist=l2, h1_dist=h1, aligned=w))
     report = SweepReport(entries=entries)
-    try:
-        exponent, prefactor, window = blowup_fit(results, profile.mass)
-        report.fitted_exponent = exponent
-        report.fitted_prefactor = prefactor
-        report.fit_window = window
-    except InsufficientData:
-        pass
+    fit = blowup_fit(results, profile.mass)
+    if fit is not None:
+        report.fitted_exponent, report.fitted_prefactor, report.fit_window = fit
     if trap is not None:
         p, h0 = trap
         report.predicted_exponent = 1.0 / (p + 2.0)
@@ -112,11 +108,12 @@ def blowup_fit(results, a_star: float):
     results without a resolution warning (eps of at least
     energy.MIN_WIDTH_CELLS cells).
 
-    Returns (exponent, prefactor, index window).
+    Returns (exponent, prefactor, index window), or None when fewer than 3
+    results are resolved.
     """
     idx = [i for i, res in enumerate(results) if not res.resolution_warning]
     if len(idx) < 3:
-        raise InsufficientData(f"need >= 3 resolved entries, have {len(idx)}")
+        return None
     da = np.array([a_star - results[i].coupling for i in idx])
     eps = np.array([results[i].eps for i in idx])
     slope, intercept = np.polyfit(np.log(da), np.log(eps), 1)

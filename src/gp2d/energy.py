@@ -113,46 +113,45 @@ def eps_width(u: Field) -> float:
 
 
 def dilate(u: Field, ell: float) -> Field:
-    """Spectrally resampled dilation u_ell(x) = ell * u(ell x), renormalized.
+    """Dilation u_ell(x) = ell * u(x0 + ell (x - x0)) about the sample x0 where
+    |u| is largest, spectrally resampled and renormalized; ell >= 1.
 
-    The result is a field the program reports on, so it must be resolved:
-    raises ResolutionExceeded when the dilated width eps_width(u)/ell would
-    fall below MIN_WIDTH_CELLS cells.  Past that guard it is
-    resample_dilation(u, ell).
+    The one dilation of the package, for the sweep's warm starts and
+    dilation_scan.  It has no resolution guard: a warm start takes the width
+    eps_width(u)/ell even below MIN_WIDTH_CELLS cells, where the minimizer
+    will end up; dilation_scan refuses such scales for the fields it reports.
     """
     if ell < 1.0:
         raise ValueError(f"dilation factor must be >= 1, got {ell}")
     g = u.grid
-    predicted = eps_width(u) / ell
-    if predicted < MIN_WIDTH_CELLS * g.dx * (1.0 - 1e-9):
-        raise ResolutionExceeded(
-            f"dilated width {predicted:.4g} below {MIN_WIDTH_CELLS} dx = "
-            f"{MIN_WIDTH_CELLS * g.dx:.4g}"
-        )
-    return resample_dilation(u, ell)
-
-
-def resample_dilation(u: Field, ell: float) -> Field:
-    """The dilation u_ell of dilate(), ell >= 1, without its resolution guard.
-
-    For a field that only seeds a minimization, such as a sweep's warm
-    start: there a width below MIN_WIDTH_CELLS cells is still the best guess.
-    """
-    g = u.grid
+    iy, ix = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
+    shift = (g.n // 2 - iy, g.n // 2 - ix)  # x0 to the origin index
+    moved = bool(shift[0] or shift[1])  # np.roll copies even for a zero shift
+    if moved:
+        u = Field(g, np.roll(u.values, shift, axis=(0, 1)))
     vals = resample_affine(u, ell)
     vals *= ell
     # keep only samples whose preimage ell*x stays inside the fundamental box;
     # the periodic interpolant would otherwise alias in wrapped ghost copies
     keep = np.abs(g.x) * ell <= g.L
     vals *= keep[None, :] * keep[:, None]
-    return normalize(Field(g, vals))
+    out = normalize(Field(g, vals))
+    return Field(g, np.roll(out.values, (-shift[0], -shift[1]), axis=(0, 1))) if moved else out
 
 
 def dilation_scan(u: Field, V: Field, a: float, scales) -> list[EnergyBreakdown]:
     """Evaluate E_a along the dilation family u_ell; for V=0 kinetic and
-    quartic parts scale as ell^2."""
+    quartic parts scale as ell^2.
+
+    Raises ResolutionExceeded, before any energy is evaluated, when a
+    scale's width eps_width(u)/ell falls below MIN_WIDTH_CELLS cells.
+    """
     require_unit_mass(u)
-    out = []
+    scales = [float(ell) for ell in scales]
+    width, cells = eps_width(u), MIN_WIDTH_CELLS * u.grid.dx
     for ell in scales:
-        out.append(energy(dilate(u, float(ell)), V, a))
-    return out
+        if width < cells * (1.0 - 1e-9) * ell:
+            raise ResolutionExceeded(
+                f"dilated width {width / ell:.4g} below {MIN_WIDTH_CELLS} dx = {cells:.4g}"
+            )
+    return [energy(dilate(u, ell), V, a) for ell in scales]

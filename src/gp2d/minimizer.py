@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .energy import MIN_WIDTH_CELLS, Functional, resample_dilation
+from .energy import MIN_WIDTH_CELLS, Functional, dilate
 from .errors import CriticalCouplingGuard, NonFiniteIterate
 from .grid import Field, Grid2D, normalize, require_same_grid
 
@@ -216,19 +216,6 @@ def minimize(
     )
 
 
-def _recentered_dilate(u: Field, ell: float) -> Field:
-    """Dilate about the density argmax so off-center bumps stay put.
-
-    The result is a warm start, not a published field, so it takes the
-    width eps_width(u)/ell even below MIN_WIDTH_CELLS cells, where dilate()
-    would refuse: the minimizer then starts at the width it will reach.
-    """
-    iy, ix = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
-    shift = (u.grid.n // 2 - iy, u.grid.n // 2 - ix)  # the peak to the origin index
-    narrowed = resample_dilation(Field(u.grid, np.roll(u.values, shift, axis=(0, 1))), ell)
-    return Field(u.grid, np.roll(narrowed.values, (-shift[0], -shift[1]), axis=(0, 1)))
-
-
 def ascending_schedule(schedule) -> list[float]:
     """The couplings of a sweep as floats; ValueError unless they are finite
     and strictly increasing."""
@@ -251,9 +238,9 @@ def _warm_start(schedule, fields, a_star):
     guess = fields[-1]
     if i >= 2:
         theta = (schedule[i] - schedule[i - 1]) / (schedule[i - 1] - schedule[i - 2])
-        carried = _recentered_dilate(fields[-2], width_ratio(i - 1))
+        carried = dilate(fields[-2], width_ratio(i - 1))
         guess = Field(guess.grid, guess.values + theta * (guess.values - carried.values))
-    return _recentered_dilate(guess, width_ratio(i))
+    return dilate(guess, width_ratio(i))
 
 
 def continuation_sweep(
@@ -276,9 +263,9 @@ def continuation_sweep(
         G = u[i-1] + theta (u[i-1] - D),  theta = (a[i]-a[i-1]) / (a[i-1]-a[i-2]),
 
     with D the minimizer u[i-2] dilated into entry i-1's frame, and G
-    dilated into entry i's.  The dilations keep the density peak in place
-    and take the predicted width even where the grid does not resolve it
-    (see _recentered_dilate).
+    dilated into entry i's.  The dilations (energy.dilate) keep the density
+    peak in place and take the predicted width even where the grid does not
+    resolve it: a warm start is not a reported field.
 
     A schedule that ends within the criticality margin of a_star is refused
     before entry 0 runs, which covers every entry of the ascending schedule.

@@ -28,7 +28,7 @@ class SpectrumReport:
     tol: float
 
 
-def ground_energy(V: Field, grid: Grid2D, tol: float = 1e-8):
+def ground_energy(V: Field, grid: Grid2D, tol: float):
     """Lowest eigenpair of -Lap + V by the a=0 gradient flow.
 
     Returns (lambda0, eigvec, residual) with residual the L2 norm of

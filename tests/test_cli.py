@@ -319,6 +319,34 @@ def test_absolute_schedule_reaching_the_criticality_margin_fails_before_entry_0(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "blowup"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "dangling"])
+def test_unusable_output_path_fails_before_townes(command, out, profile, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before its output path was checked")
+
+    cli._profile_cached.cache_clear()
+    monkeypatch.setattr(cli, "solve_townes", no_run)
+    monkeypatch.setattr(minimizer, "minimize", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("potential = zero\nL = 8\nn = 16\na_schedule = 1.0, 2.0\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / out)]
+    if command == "blowup":
+        prof = tmp_path / "p.json"
+        prof.write_text(json.dumps(soliton.profile_to_dict(profile)))
+        argv += ["--profile", str(prof)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "not a directory" in err and len(err.strip().splitlines()) == 1
+    assert afile.read_text() == "x"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["afile", "dangling", "sweep.cfg"] + (["p.json"] if command == "blowup" else []))
+
+
 def test_sweep_unconverged_exits_3(tmp_path, capsys):
     out = tmp_path / "rep"
     cfg = tmp_path / "sweep.cfg"

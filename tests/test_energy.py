@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
+import gp2d.energy
 from gp2d.energy import (
     Functional,
     dilate,
@@ -127,7 +128,25 @@ def test_dilate_validation(q0):
     with pytest.raises(ValueError):
         dilate(q0, 0.5)
     with pytest.raises(ResolutionExceeded):
-        dilate(q0, 1e6)
+        dilation_scan(q0, zero_potential(q0.grid), 0.0, (1e6,))
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (3, 0), (0, -5), (17, -9)])
+def test_dilate_follows_the_peak(q0, shift):
+    # the dilation is about the peak: rolling the input rolls the output, bit for bit
+    moved = Field(q0.grid, np.roll(q0.values, shift, axis=(0, 1)))
+    expected = np.roll(dilate(q0, 1.5).values, shift, axis=(0, 1))
+    assert np.array_equal(dilate(moved, 1.5).values, expected)
+
+
+def test_dilation_scan_refuses_before_any_energy(q0, monkeypatch):
+    def no_energy(*args, **kwargs):
+        raise AssertionError("an energy was evaluated before the scales were checked")
+
+    monkeypatch.setattr(gp2d.energy, "energy", no_energy)
+    ell = 1.01 * eps_width(q0) / (4.0 * q0.grid.dx)  # the last scale just below 4 cells
+    with pytest.raises(ResolutionExceeded):
+        dilation_scan(q0, zero_potential(q0.grid), 0.0, (1.0, 2.0, ell))
 
 
 def test_dilation_scaling(q0_512, grid512):

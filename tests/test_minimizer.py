@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 import gp2d.minimizer as minimizer
-from gp2d.energy import MIN_WIDTH_CELLS, Functional, dilate, energy, energy_gradient, eps_width
+from gp2d.energy import (
+    MIN_WIDTH_CELLS,
+    Functional,
+    dilate,
+    dilation_scan,
+    energy,
+    energy_gradient,
+    eps_width,
+)
 from gp2d.errors import CriticalCouplingGuard, NonFiniteIterate, ResolutionExceeded
 from gp2d.grid import Field, inner, l2_norm, make_grid, mass, normalize
 from gp2d.minimizer import (
     MinimizerOptions,
-    _recentered_dilate,
     _warm_start,
     continuation_sweep,
     gaussian_init,
@@ -195,17 +202,17 @@ def test_stalls_count_every_iteration_without_a_step():
 
 def test_warm_start_takes_the_predicted_width_below_four_cells(q0):
     # a warm start is not a published field: it narrows to eps(u)/ell about
-    # the peak even where dilate() refuses for want of resolution
+    # the peak even where dilation_scan() refuses for want of resolution
     g = q0.grid
     u = Field(g, np.roll(q0.values, (17, -9), axis=(0, 1)))
     ell = 3.0
     width = eps_width(u) / ell
     assert width < MIN_WIDTH_CELLS * g.dx
-    warm = _recentered_dilate(u, ell)
+    warm = dilate(u, ell)
     assert eps_width(warm) == pytest.approx(width, rel=1e-2)
     assert np.argmax(warm.values) == np.argmax(u.values)
     with pytest.raises(ResolutionExceeded):
-        dilate(u, ell)
+        dilation_scan(u, zero_potential(g), 0.0, (ell,))
 
 
 def test_sweep_entry_below_four_cells_reaches_the_same_minimum(a_star):
@@ -233,7 +240,7 @@ def geometric_sweep(a_star):
     results = continuation_sweep(V, schedule, grid, opts, a_star=a_star)
     # entry 3 started from entry 2 carried by pure dilation, the rule before the secant
     ell = ((a_star - schedule[2]) / (a_star - schedule[3])) ** 0.25
-    dilated = _recentered_dilate(results[2].u, ell)
+    dilated = dilate(results[2].u, ell)
     from_dilated = minimize(V, schedule[3], grid, opts, init=dilated, a_star=a_star)
     return schedule, results, dilated, from_dilated
 
