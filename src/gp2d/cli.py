@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
 
 Number formatting is pinned to Python's shortest round-trip repr, both in
 CSV cells and in JSON, so identical configs reproduce outputs byte for byte.
-JSON is written as one compact line with sorted keys.
+JSON is written as one compact line with sorted keys, strictly: a
+non-finite number, such as the infinite width of a field constant to
+rounding, is written as null.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -47,8 +50,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, sort_keys=True) + "\n"
+    """obj as strict JSON, where a non-finite float (an infinite width) is null."""
+    text = json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -34,6 +34,12 @@ class EnergyBreakdown:
     coupling: float
     total: float
 
+    @property
+    def magnitude(self) -> float:
+        """Sum of the magnitudes of the total's parts: the machine epsilon
+        times it bounds the total's rounding."""
+        return abs(self.kinetic) + abs(self.potential) + abs(0.5 * self.coupling * self.quartic)
+
 
 class Functional:
     """E_a and its half-gradient on one grid.
@@ -67,6 +73,48 @@ class Functional:
         quart = float(np.sum(sq * sq) * w)
         kin = self.kinetic(uh)
         return EnergyBreakdown(kin, pot, quart, self.a, kin + pot - 0.5 * self.a * quart)
+
+    def step_change(self, u, uh, d, dh, alpha, beta, c) -> tuple[float, float]:
+        """E_a(c) - E_a(u) for c = u + du, du = alpha u - beta d, dh = rfft2(d),
+        and the sum of the magnitudes of its terms.
+
+        The change is summed term by term, so that no two totals are
+        subtracted: kinetic <k^2 du^, 2 uh + du^> with du^ = alpha uh - beta dh,
+        potential int V du (2u + du) and quartic int du (2u + du)(c^2 + u^2).
+        The machine epsilon times the magnitude sum bounds its rounding.  It
+        keeps two full-size temporaries at a time, as energy() does.
+        """
+        w = self.grid.weight
+        ratio = alpha / beta
+        duh = uh * ratio
+        duh -= dh
+        duh *= beta
+        kin = duh.real * uh.real
+        kin += duh.imag * uh.imag
+        kin *= 2.0
+        kin += duh.real * duh.real
+        kin += duh.imag * duh.imag
+        del duh
+        kin *= self._kin_weight
+        change = float(np.sum(kin))
+        magnitude = float(np.sum(np.abs(kin, out=kin)))
+        del kin
+        du = u * ratio
+        du -= d
+        du *= beta
+        e = u * 2.0
+        e += du
+        e *= du  # du (2u + du) = c^2 - u^2 without the cancellation
+        terms = du  # its buffer, reused for the potential and quartic parts
+        np.multiply(e, self.V, out=terms)
+        change += float(np.sum(terms)) * w
+        magnitude += float(np.sum(np.abs(terms, out=terms))) * w
+        for f in (c, u):  # the quartic part e (c^2 + u^2), one square at a time
+            np.multiply(e, f, out=terms)
+            terms *= f
+            change -= 0.5 * self.a * float(np.sum(terms)) * w
+            magnitude += 0.5 * self.a * float(np.sum(np.abs(terms, out=terms))) * w
+        return change, magnitude
 
     def half_gradient(self, u, uh) -> np.ndarray:
         """-Lap u + V u - a u^3, with one inverse transform."""

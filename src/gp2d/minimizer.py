@@ -7,10 +7,15 @@ by taking the absolute value after each step.
 
 The descent direction is preconditioned by (c - Lap)^{-1} with c =
 max(1, |mu|); the residual, termination test, and all reported quantities
-use the plain projected gradient.  A flow whose rounding floor lies above the
-tolerance stops there: an iteration that takes no step, or takes one only
-after 20 (FLOOR_HALVINGS) halvings of the trial step, adds one to a count
-that any other step resets, and a count of two ends the run.
+use the plain projected gradient.
+
+A trial step passes Armijo when its energy lies 1e-4 * tau * slope below E.
+Where the rounding of the two totals could reverse that test, the change
+E(c) - E(u) summed term by term (Functional.step_change) decides it instead,
+for the step taken from u at exactly unit mass.  Where even that sum's
+rounding bound exceeds the required decrease, the flow has reached its
+rounding floor: the iteration takes no step, and two such stalls in a row
+end the run.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ from .grid import Field, Grid2D, normalize, require_same_grid
 CRITICALITY_MARGIN = 1e-4
 STEP_INIT = 0.5
 BACKTRACK_FACTOR = 0.5
-# an accepted step that needed this many halvings passed Armijo by rounding:
-# the flow has reached its floor, and two such steps or stalls in a row end it
-FLOOR_HALVINGS = 20
 
 _log = logging.getLogger(__name__)
 
@@ -56,12 +58,12 @@ class MinimizerResult:
     projected-gradient residual, all evaluated at u however the run ended.
 
     The run ends when the residual reaches the tolerance, after max_iters
-    iterations, or at its rounding floor: an iteration that takes no step, or
-    takes one only after 20 (FLOOR_HALVINGS) halvings of the trial step, adds
-    one to a count that any other step resets, and a count of two ends the
-    run.  backtracks counts the trial steps the Armijo test rejected, flips
-    the accepted steps whose candidate the positivity flip changed, stalls
-    the iterations that accepted no step.
+    iterations, or at its rounding floor: at the second iteration in a row
+    that takes no step, because the decrease Armijo requires fell below the
+    rounding bound of the energy change summed term by term, or because the
+    trial step underflowed.  backtracks counts the trial steps not taken,
+    flips the accepted steps whose candidate the positivity flip changed,
+    stalls the iterations that took no step.
     """
 
     u: Field
@@ -137,10 +139,12 @@ def minimize(
     func = Functional(grid, V.values, a)
     k2r = func.k2r
     w = grid.weight
+    ulp = np.finfo(float).eps
     shape = (grid.n, grid.n)
     uvals = _initial_field(V, grid, init).values
     uh = fft.rfft2(uvals)
-    E = func.energy(uvals, uh).total
+    parts = func.energy(uvals, uh)
+    E, magnitude = parts.total, parts.magnitude
     trace = [E]
     pg, mu, residual = _projected_gradient(func, uvals, uh)
     prev_u, prev_pg = uvals, pg  # s = 0 now and after a stall: tau = STEP_INIT
@@ -152,21 +156,25 @@ def minimize(
         if residual <= opts.tol_residual:
             converged = True
             break
-        # shift tracks the chemical potential so the preconditioner stays
-        # effective as the minimizer concentrates
-        shift = max(1.0, abs(mu))
-        d = fft.irfft2(fft.rfft2(pg) / (shift + k2r), s=shape)
-        d -= (np.sum(d * uvals) * w) * uvals
-        slope = float(np.sum(pg * d) * w)  # > 0 for an SPD preconditioner
         # Barzilai-Borwein guess for the trial step, clipped for safety
         s = uvals - prev_u
         denom = float(np.sum(s * (pg - prev_pg)))
         tau = STEP_INIT
         if denom != 0.0 and np.isfinite(denom):
             tau = min(max(abs(float(np.sum(s * s)) / denom), 1e-6), 50.0)
+        del s  # before the preconditioner's arrays, which live through the trials
         prev_u, prev_pg = uvals, pg  # rebound below, never written in place
-        stalled += 1  # until a step that passes Armijo by more than rounding
-        tried = backtracks
+        # shift tracks the chemical potential so the preconditioner stays
+        # effective as the minimizer concentrates
+        shift = max(1.0, abs(mu))
+        dh = fft.rfft2(pg)
+        dh /= shift + k2r
+        d = fft.irfft2(dh, s=shape)
+        along = np.sum(d * uvals) * w
+        d -= along * uvals
+        slope = float(np.sum(pg * d) * w)  # > 0 for an SPD preconditioner
+        moments = None  # <u,d> and ||d||^2, once the exact change is needed
+        stalled += 1  # until a step is taken
         while tau > 1e-14:
             cand = uvals - tau * d
             # positivity enforcement: flip genuinely negative excursions, but
@@ -180,25 +188,48 @@ def minimize(
             scale = 1.0 / np.sqrt(m)
             cand *= scale
             ch *= scale
-            E_cand = func.energy(cand, ch).total
-            if not math.isfinite(E_cand):
+            parts = func.energy(cand, ch)
+            if not math.isfinite(parts.total):
                 raise NonFiniteIterate(f"non-finite trial energy at iteration {iters} (a = {a})")
-            if E_cand <= E - 1e-4 * tau * slope:
-                uvals, uh, E = cand, ch, E_cand
+            drop = 1e-4 * tau * slope
+            accept, floor = parts.total <= E - drop, False
+            # where the totals' rounding could reverse the test, the change
+            # summed term by term decides it, for the unflipped step taken
+            # from u at exactly unit mass; on the check-v1 flows and the
+            # n=192 sweep the totals' difference strayed from that change by
+            # up to 1.8 ulp times the two totals' magnitudes
+            band = 4.0 * ulp * (magnitude + parts.magnitude)
+            if not flipped and abs(parts.total - E + drop) <= band:
+                if moments is None:
+                    dh -= along * uh  # the spectrum of the projected d
+                    moments = float(np.vdot(uvals, d)) * w, float(np.vdot(d, d)) * w
+                x = tau * (tau * moments[1] - 2.0 * moments[0])  # m - 1
+                r = math.sqrt(1.0 + x)
+                change, terms = func.step_change(
+                    uvals, uh, d, dh, -x / (r * (1.0 + r)), tau / r, cand)
+                # a decrease below that sum's rounding cannot be told: the
+                # flow has reached its floor, and this iteration stalls
+                floor = drop < ulp * terms
+                accept = change <= -drop and not floor
+            if accept:
+                uvals, uh, E, magnitude = cand, ch, parts.total, parts.magnitude
                 trace.append(E)
                 flips += flipped
-                if backtracks - tried < FLOOR_HALVINGS:
-                    stalled = 0
+                stalled = 0
+                del d, dh  # before the gradient's temporaries
                 pg, mu, residual = _projected_gradient(func, uvals, uh)
                 break
             backtracks += 1
+            if floor:
+                break
             tau *= BACKTRACK_FACTOR
-        else:
-            stalls += 1  # the trial step underflowed: u has not moved
-        if stalled >= 2:
-            break
+        if stalled:  # u has not moved
+            stalls += 1
+            if stalled >= 2:
+                break
 
-    eps = 1.0 / np.sqrt(func.kinetic(uh))
+    with np.errstate(divide="ignore"):  # a field constant to rounding has eps = inf
+        eps = 1.0 / np.sqrt(func.kinetic(uh))
     return MinimizerResult(
         u=Field(grid, uvals),
         E=E,

@@ -518,6 +518,26 @@ def test_check_v1_json(capsys):
     assert report["ess_inf_V"] == pytest.approx(-0.2172336, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    "minimize --potential zero --a 0 --L 1e-9 --n 16",
+    "check-v1 --potential sinc --L 1e-60 --n 32",
+])
+def test_field_constant_to_rounding_writes_strict_json(argv, capsys):
+    # the unit-width carrier is constant to rounding on these boxes, so its
+    # width is infinite: no warning, and null rather than a non-JSON Infinity
+    assert run(argv.split()) == 0
+    out = capsys.readouterr()
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    report = json.loads(out.out, parse_constant=refuse)
+    assert out.err == ""
+    if argv.startswith("minimize"):
+        assert report["eps"] is None
+
+
 def test_check_v1_file_potential(tmp_path, capsys):
     g = make_grid(8.0, 64)
     V = realize(PowerWell(h0=1.0, p=2.0, rcut=8.0), g)

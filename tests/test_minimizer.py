@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import fft
 
 import gp2d.minimizer as minimizer
 from gp2d.energy import (
@@ -22,7 +23,7 @@ from gp2d.minimizer import (
     gaussian_init,
     minimize,
 )
-from gp2d.potentials import Constant, PowerWell, Sinc, Zero, check_v2, realize
+from gp2d.potentials import Constant, Lattice, PowerWell, Sinc, Zero, check_v2, realize
 
 
 def zero_potential(grid):
@@ -128,23 +129,71 @@ def test_minimizer_invariants(grid16, a_star):
     assert projected_residual(res.u, V, 0.8 * a_star) == pytest.approx(res.residual, rel=1e-6)
 
 
+def _projected_step(func, u):
+    """uh, the projected half-gradient d at u with its spectrum, and <g, d>."""
+    w = func.grid.weight
+    uh = fft.rfft2(u)
+    g = func.half_gradient(u, uh)
+    d = g - np.sum(g * u) * w * u
+    return uh, d, fft.rfft2(d), float(np.sum(g * d) * w)
+
+
+def test_step_change_is_the_difference_of_the_totals():
+    # for steps the two totals resolve, the change summed term by term is
+    # their difference
+    grid = make_grid(8.0, 64)
+    func = Functional(grid, realize(PowerWell(h0=1.0), grid).values, 5.0)
+    u = gaussian_init(grid, width=1.5).values
+    uh, d, dh, _ = _projected_step(func, u)
+    for tau in (0.3, 0.03, 0.003):
+        c = u - tau * d
+        s = 1.0 / np.sqrt(np.sum(c * c) * grid.weight)
+        c *= s
+        change, magnitude = func.step_change(u, uh, d, dh, s - 1.0, s * tau, c)
+        totals = func.energy(c, fft.rfft2(c)).total - func.energy(u, uh).total
+        assert change == pytest.approx(totals, rel=1e-9)
+        assert magnitude >= abs(change)
+
+
+def test_step_change_resolves_what_the_totals_cannot():
+    # near a minimizer a step of tau = 1e-10 lowers E by 2 tau <g, d>, far
+    # below the rounding of the totals; the change summed term by term has
+    # that size and sign, well above its own rounding bound
+    grid = make_grid(8.0, 64)
+    V = realize(PowerWell(h0=1.0), grid)
+    func = Functional(grid, V.values, 5.0)
+    u = minimize(V, 5.0, grid, MinimizerOptions(tol_residual=1e-4)).u.values
+    uh, d, dh, slope = _projected_step(func, u)
+    w, tau, ulp = grid.weight, 1e-10, np.finfo(float).eps
+    x = tau * (tau * np.sum(d * d) * w - 2.0 * np.sum(u * d) * w)  # unit-mass m - 1
+    r = np.sqrt(1.0 + x)
+    alpha, beta = -x / (r * (1.0 + r)), tau / r
+    c = (1.0 + alpha) * u - beta * d
+    change, magnitude = func.step_change(u, uh, d, dh, alpha, beta, c)
+    assert change == pytest.approx(-2.0 * tau * slope, rel=1e-6)
+    assert abs(change) > 1e3 * ulp * magnitude
+    before, after = func.energy(u, uh), func.energy(c, fft.rfft2(c))
+    assert abs(change) < ulp * (before.magnitude + after.magnitude)
+    assert after.total - before.total != pytest.approx(change, rel=0.5, abs=0)
+
+
 def test_unconverged_result_describes_returned_field():
     # every unconverged ending reports mu and the residual of the field it
     # returns, not of the iterate before its last step
     cases = [
         # cut off by max_iters right after a step
         (Sinc(), 8.0, 64, 5.0, MinimizerOptions(max_iters=7), 0),
-        # the second stall in a row
+        # the second stall in a row, at the rounding floor of the well ...
         (PowerWell(h0=1.0), 8.0, 16, 1.0, MinimizerOptions(tol_residual=1e-300), 2),
-        # a step taken only after FLOOR_HALVINGS halvings
-        (Constant(c=5.0), 16.0, 32, 0.0, MinimizerOptions(1e-8, max_iters=50000), 1),
+        # ... and of the a=0 flow that needs the most backtracks to reach it
+        (Constant(c=5.0), 16.0, 32, 0.0, MinimizerOptions(1e-300, max_iters=50000), 2),
     ]
     for spec, L, n, a, opts, stalls in cases:
         grid = make_grid(L, n)
         V = realize(spec, grid)
         res = minimize(V, a, grid, opts)
         assert not res.converged and res.stalls == stalls
-        # a floor step moves the residual by only about 4e-8 of itself
+        # a floor step moves the residual by only a small part of itself
         assert res.residual == pytest.approx(projected_residual(res.u, V, a), rel=1e-8, abs=0)
         assert res.mu == pytest.approx(inner(energy_gradient(res.u, V, a), res.u), rel=1e-9)
 
@@ -191,13 +240,22 @@ def test_counters_account_for_every_trial(grid_small, monkeypatch):
 
 
 def test_stalls_count_every_iteration_without_a_step():
-    # no residual reaches 1e-300, so the run ends at its second stall in a row
-    grid = make_grid(8.0, 16)
-    res = minimize(realize(PowerWell(h0=1.0), grid), 1.0, grid,
-                   MinimizerOptions(tol_residual=1e-300))
-    assert not res.converged
-    assert res.stalls == 2
-    assert res.iters == len(res.energy_trace) - 1 + res.stalls
+    # no residual reaches 1e-300, so each run ends at its second stall in a
+    # row, where the decrease Armijo asks for is below the rounding bound of
+    # the energy change summed term by term
+    cases = [
+        (PowerWell(h0=1.0), 8.0, 16, 1.0),
+        (Lattice(s=1.0, period=4.0), 4.0, 16, 0.0),
+        (Constant(c=0.7), 16.0, 128, 0.0),
+    ]
+    for spec, L, n, a in cases:
+        grid = make_grid(L, n)
+        res = minimize(realize(spec, grid), a, grid, MinimizerOptions(tol_residual=1e-300))
+        assert not res.converged
+        assert res.stalls == 2
+        assert res.iters == len(res.energy_trace) - 1 + res.stalls
+        # the floor lies far below the 1e-8 at which the totals alone stalled
+        assert res.residual < 1e-10
 
 
 def test_warm_start_takes_the_predicted_width_below_four_cells(q0):
