@@ -4,6 +4,10 @@ Bounded potentials, one class per kind of the config grammar: zero,
 constant, truncated power well, periodic lattice, sinc, or a GPF1 file.
 The attainment checker locates the minimum of V * |u|^2 and reports whether
 it is attained in the interior and stable under doubling the box.
+
+The lattice is the one kind with a period.  On a box made of whole periods
+its spectral problem reduces to one period cell on the same spacing
+(period_cell); the other kinds keep the box.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ class PotentialSpec(ABC):
     """
 
     kind: ClassVar[str]
-    periodic: ClassVar[bool] = False  # every point is interior on the torus
     own_grid: ClassVar[bool] = False  # exists only on the grid it was stored on
     trap: ClassVar[tuple | None] = None  # (p, h0): V = h0 |x|^p about its minimum at 0
 
@@ -55,6 +58,11 @@ class PotentialSpec(ABC):
     def domain(self) -> tuple:
         """(holds, wording) of the kind's range rule beyond finiteness."""
         return True, ""
+
+    @property
+    def period(self) -> float | None:
+        """The period with which V repeats along both axes; None unless it does."""
+        return None
 
     @abstractmethod
     def sample(self, grid: Grid2D) -> np.ndarray:
@@ -116,7 +124,6 @@ class Lattice(PotentialSpec):
     """s * (cos(2 pi x / period) + cos(2 pi y / period))."""
 
     kind = "lattice"
-    periodic = True
     s: float = 0.5
     period: float = 1.0
 
@@ -209,6 +216,31 @@ def parse_potential(text: str) -> PotentialSpec:
     return cls(**kv)
 
 
+def period_cell(spec: PotentialSpec, grid: Grid2D) -> Grid2D:
+    """The smallest grid made of whole periods of V with grid's spacing.
+
+    For a kind with a period T that tiles the box, 2L = c T in floats, this
+    is the box cut into m x m tiles, for the largest m that divides c and
+    leaves an even count n/m >= 16 with the spacing unchanged; otherwise
+    grid itself.  The tile's samples are samples of grid, and V sampled on
+    grid repeats them m times along each axis.
+    """
+    period = spec.period
+    if period is None:
+        return grid
+    ratio = 2.0 * grid.L / period
+    c = round(ratio) if math.isfinite(ratio) else 0
+    if c < 2 or c * period != 2.0 * grid.L:
+        return grid
+    for side in range(16, grid.n, 2):  # the fewest samples first: the most tiles
+        m, rest = divmod(grid.n, side)
+        if rest == 0 and c % m == 0:
+            cell = make_grid(grid.L / m, side)
+            if cell.dx == grid.dx:
+                return cell
+    return grid
+
+
 def realize(spec: PotentialSpec, grid: Grid2D) -> Field:
     """Sample the potential on the grid; ConfigError if a sample overflows."""
     with np.errstate(over="ignore"):  # refused below instead
@@ -242,7 +274,7 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
     """Locate the minimum of V * |u|^2 and report the attainment diagnostics.
 
     The minimum counts as attained in the interior only if it lies more than
-    two cells inside the box (anywhere, for a periodic potential) and the
+    two cells inside the box (anywhere, for a kind with a period) and the
     minimum of the same density convolved on a box of doubled half-width
     agrees with it to 1e-3.  File potentials exist only on their own grid
     and skip that doubling check.  A u off grid or a non-finite eps raises
@@ -262,8 +294,9 @@ def check_v2(spec: PotentialSpec, u: Field, eps: float, grid: Grid2D) -> V2Repor
     vmax = float(np.max(conv.values))
     degenerate = (vmax - vmin) < 1e-12 * max(1.0, abs(vmax))
 
-    # a periodic potential has no edge: every point is interior on the torus
-    interior = spec.periodic or min(grid.L - abs(loc[0]), grid.L - abs(loc[1])) > 2.0 * grid.dx
+    # a potential with a period has no edge: every point is interior on the torus
+    edge = min(grid.L - abs(loc[0]), grid.L - abs(loc[1]))
+    interior = spec.period is not None or edge > 2.0 * grid.dx
     stable = True
     if not spec.own_grid:
         big = make_grid(2.0 * grid.L, 2 * grid.n)

@@ -4,6 +4,11 @@ The ground energy is the infimum of the quadratic form over unit-mass fields,
 computed with the a=0 projected gradient flow (one code path with the
 interacting minimizer).  The gap condition requires this infimum to exceed
 the essential infimum of V strictly.
+
+`gp check-v1` passes a lattice whose period tiles the box on one period cell
+(potentials.period_cell): its ground state repeats with V (Bloch), so the
+cell on the same samples has the box's lambda0 and residual.  Every other
+kind is solved on the whole box.
 """
 
 from __future__ import annotations

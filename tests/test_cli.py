@@ -95,6 +95,8 @@ def test_odd_sample_count_exits_2(argv, capsys):
         # samples of the potential overflow
         (["check-v1", "--potential", "power_well h0=1e308 p=4", "--L", "16", "--n", "32"], None),
         (["check-v2", "--potential", "lattice s=1e308", "--L", "16", "--n", "32"], None),
+        # check-v1 realizes the lattice on one period cell, and refuses it there
+        (["check-v1", "--potential", "lattice s=1e308", "--L", "16", "--n", "32"], None),
     ],
 )
 def test_non_finite_and_foreign_inputs_exit_2(argv, config, tmp_path, capsys):
@@ -518,6 +520,16 @@ def test_check_v1_json(capsys):
     assert report["ess_inf_V"] == pytest.approx(-0.2172336, abs=1e-6)
 
 
+def test_check_v1_lattice_json(capsys):
+    # solved on one period cell, reported with the keys of any other kind
+    assert run(["check-v1", "--potential", "lattice s=0.5 period=8", "--L", "16",
+                "--n", "256"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"ess_inf_V", "lambda0", "passes_v1", "residual", "tol", "v1_margin"}
+    assert report["passes_v1"] is True
+    assert report["ess_inf_V"] == -1.0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     "minimize --potential zero --a 0 --L 1e-9 --n 16",
@@ -585,7 +597,7 @@ def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
     examples = [shlex.split(line) for line in block.splitlines() if line.startswith("gp ")]
-    assert len(examples) == 7
+    assert len(examples) == 8
     parser = cli.build_parser()
     for argv in examples:
         args = parser.parse_args(argv[1:])

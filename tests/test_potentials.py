@@ -15,6 +15,7 @@ from gp2d.potentials import (
     Zero,
     check_v2,
     parse_potential,
+    period_cell,
     realize,
 )
 
@@ -37,6 +38,38 @@ def test_trap_law_only_for_the_power_well():
     assert parse_potential("power_well h0=0.5 p=3").trap == (3.0, 0.5)
     for text in ("zero", "constant c=1", "lattice", "sinc", "file:v.gpf"):
         assert parse_potential(text).trap is None
+
+
+def test_period_only_for_the_lattice():
+    assert parse_potential("lattice s=2 period=8").period == 8.0
+    for text in ("zero", "constant c=1", "power_well", "sinc", "file:v.gpf"):
+        assert parse_potential(text).period is None
+
+
+@pytest.mark.parametrize("period, L, n, cell_L, cell_n", [
+    (3.0, 16.0, 256, 16.0, 256),  # 32/3 periods do not tile the box: the whole box
+    (1.0, 16.0, 256, 1.0, 16),  # 32 cells of 8 samples: 16 tiles of 16
+    (4.0, 16.0, 200, 4.0, 50),  # 8 cells of 25 samples, an odd count: 4 tiles of 50
+    (4.0, 16.0, 96, 4.0, 24),  # 8 cells of 12 samples, fewer than 16: 4 tiles of 24
+    (8.0, 16.0, 256, 4.0, 64),
+    # 6 or 3 tiles would round the spacing 0.0055000000000000005 to 0.0055: 2 tiles
+    (0.11, 0.33, 120, 0.165, 60),
+    (40.0, 16.0, 256, 16.0, 256),  # a period longer than the box: the whole box
+])
+def test_period_cell_tiles_the_box(period, L, n, cell_L, cell_n):
+    spec = Lattice(s=0.5, period=period)
+    g = make_grid(L, n)
+    cell = period_cell(spec, g)
+    assert (cell.L, cell.n, cell.dx) == (cell_L, cell_n, g.dx)
+    # the cell is the box's middle tile, and V on the box repeats it m times per axis
+    m, middle = n // cell_n, (n - cell_n) // 2
+    tiled = np.roll(np.tile(realize(spec, cell).values, (m, m)), middle, axis=(0, 1))
+    np.testing.assert_allclose(realize(spec, g).values, tiled, rtol=0, atol=1e-14)
+
+
+def test_period_cell_keeps_the_box_of_other_kinds(grid16):
+    for spec in (Zero(), Constant(c=1.0), PowerWell(), Sinc()):
+        assert period_cell(spec, grid16) is grid16
 
 
 @pytest.mark.parametrize(

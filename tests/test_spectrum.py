@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import dft, eigh
 
+from gp2d.cli import run
 from gp2d.grid import Field, make_grid
 from gp2d.minimizer import MinimizerOptions, minimize
-from gp2d.potentials import Constant, Lattice, PowerWell, realize
+from gp2d.potentials import Constant, Lattice, PowerWell, period_cell, realize
 from gp2d.spectrum import check_v1, ground_energy
 
 
@@ -75,3 +78,20 @@ def test_check_v1_fails_for_free(grid_small):
     report = check_v1(V, grid_small, ess_inf_V=0.0)
     assert not report.passes_v1
     assert abs(report.v1_margin) < 1e-6
+
+
+@pytest.mark.parametrize("s, period, L, n", [(0.5, 4.0, 8.0, 128), (-1.5, 2.0, 4.0, 64)])
+def test_check_v1_of_a_tiling_lattice_solves_one_cell(s, period, L, n, capsys):
+    argv = ["check-v1", "--potential", f"lattice s={s} period={period}", "--L", str(L),
+            "--n", str(n)]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    spec, g = Lattice(s=s, period=period), make_grid(L, n)
+    cell = period_cell(spec, g)
+    assert cell.n < n
+    full, _, _ = ground_energy(realize(spec, g), g, tol=1e-8)
+    # separable: twice the 1D ground energy of one cell
+    oracle = 2.0 * dense_1d_ground_energy(cell.L, cell.n, s * np.cos(2.0 * np.pi * cell.x / period))
+    assert report["lambda0"] == pytest.approx(full, abs=1e-12)
+    assert report["lambda0"] == pytest.approx(oracle, abs=1e-12)
+    assert report["residual"] <= report["tol"]
