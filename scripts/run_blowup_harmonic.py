@@ -3,8 +3,8 @@
 
 Writes report to blowup_harmonic/ and, when every entry converges, prints the
 fitted exponent against the predicted 1/(p+2) = 1/4.  At n=512 the sweep makes
-5524 minimizer iterations, [892, 751, 605, 724, 861, 786, 905], every entry
-converges, and the whole run took 90-145 s on a 2-core x86-64 box (Python
+4205 minimizer iterations, [892, 751, 605, 546, 476, 383, 552], every entry
+converges, and the whole run took 100-115 s on a 2-core x86-64 box (Python
 3.11, numpy 2.4, scipy 1.17).  One progress line per entry goes to stderr.
 The fit reads exponent 0.2566 and prefactor 0.5279 (predicted 0.5179).
 """

@@ -256,22 +256,39 @@ def ascending_schedule(schedule) -> list[float]:
     return schedule
 
 
-def _warm_start(schedule, fields, a_star):
-    """Initial field of entry len(fields) of a sweep whose earlier entries
-    have the minimizers fields, by the rule of continuation_sweep."""
-    i = len(fields)
+def _warm_start(schedule, results, a_star):
+    """Initial field of entry len(results) of a sweep whose earlier entries
+    returned results, by the rule of continuation_sweep."""
+    i = len(results)
     if i == 0:
         return None
+    delta = [a_star - a for a in schedule[: i + 1]]
 
-    def width_ratio(j):
-        return ((a_star - schedule[j - 1]) / (a_star - schedule[j])) ** 0.25
+    def width_ratio(j, k):  # carries entry j's minimizer into entry k's frame
+        return (delta[j] / delta[k]) ** 0.25
 
-    guess = fields[-1]
+    guess = results[-1].u
     if i >= 2:
         theta = (schedule[i] - schedule[i - 1]) / (schedule[i - 1] - schedule[i - 2])
-        carried = dilate(fields[-2], width_ratio(i - 1))
-        guess = Field(guess.grid, guess.values + theta * (guess.values - carried.values))
-    return dilate(guess, width_ratio(i))
+        u1, d2 = guess.values, dilate(results[-2].u, width_ratio(i - 2, i - 1)).values
+        values = u1 + theta * (u1 - d2)
+        if i >= 3 and not any(r.resolution_warning for r in results[-3:]):
+            # Newton's second divided difference, formed in place: each extra
+            # live n x n array here raises the sweep's peak memory
+            d3 = dilate(results[-3].u, width_ratio(i - 3, i - 1)).values
+            f = u1 - d2
+            f /= delta[i - 1] - delta[i - 2]  # f12
+            d3 -= d2
+            d3 /= delta[i - 2] - delta[i - 3]  # -f23
+            f += d3
+            del d3
+            weight = (delta[i] - delta[i - 1]) * (delta[i] - delta[i - 2])
+            f *= weight / (delta[i - 1] - delta[i - 3])
+            values += f
+            del f
+        del d2
+        guess = Field(guess.grid, values)
+    return dilate(guess, width_ratio(i - 1, i))
 
 
 def continuation_sweep(
@@ -288,15 +305,27 @@ def continuation_sweep(
     width the law eps ~ (a*-a)^(1/(p+2)) predicts, taken at p = 2.  In that
     frame the two terms that perturb the Townes equation, (a*-a) w^3 and
     eps^(p+2) V(x0 + eps y) w, are both proportional to a*-a, so to first
-    order w moves linearly in a.  Entry 1 starts from entry 0 dilated to
-    its predicted width.  Entry i >= 2 starts from the secant step
+    order w moves linearly in a, and smoothly in d = a*-a.  Entry 1 starts
+    from entry 0 dilated to its predicted width.  Entry i >= 2 starts from
+    the secant step
 
-        G = u[i-1] + theta (u[i-1] - D),  theta = (a[i]-a[i-1]) / (a[i-1]-a[i-2]),
+        G = u[i-1] + theta (u[i-1] - D2),  theta = (a[i]-a[i-1]) / (a[i-1]-a[i-2]),
 
-    with D the minimizer u[i-2] dilated into entry i-1's frame, and G
-    dilated into entry i's.  The dilations (energy.dilate) keep the density
-    peak in place and take the predicted width even where the grid does not
-    resolve it: a warm start is not a reported field.
+    with D2 the minimizer u[i-2] dilated into entry i-1's frame, and G
+    dilated into entry i's.  From entry 3 on, G gains Newton's second
+    divided difference in d, the quadratic extrapolation of the last three
+    minimizers:
+
+        (d[i]-d[i-1]) (d[i]-d[i-2]) (f12 - f23) / (d[i-1]-d[i-3]),
+        f12 = (u[i-1] - D2) / (d[i-1]-d[i-2]),  f23 = (D2 - D3) / (d[i-2]-d[i-3]),
+
+    with D3 the minimizer u[i-3] dilated into entry i-1's frame.  The term
+    is added only when none of the three minimizers carries
+    resolution_warning; otherwise G stays the secant, whose smaller weights
+    amplify the error of a dilated field below MIN_WIDTH_CELLS cells less.
+    The dilations (energy.dilate) keep the density peak in place and take
+    the predicted width even where the grid does not resolve it: a warm
+    start is not a reported field.
 
     A schedule that ends within the criticality margin of a_star is refused
     before entry 0 runs, which covers every entry of the ascending schedule.
@@ -309,7 +338,7 @@ def continuation_sweep(
     results: list[MinimizerResult] = []
     for i, a in enumerate(schedule):
         start = time.perf_counter()
-        init = _warm_start(schedule, [r.u for r in results], a_star)
+        init = _warm_start(schedule, results, a_star)
         res = minimize(V, a, grid, opts, init=init)
         results.append(res)
         _log.info(

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria 3 and 4 share a
 near-critical sweep in the truncated harmonic well at n=512; that fixture
 dominates the runtime, and criterion 3 bounds it at 600 s of wall time.  It
-takes 5524 minimizer iterations, 90-145 s on a 2-core x86-64 box.
+takes 4205 minimizer iterations, 100-115 s on a 2-core x86-64 box.
 """
 
 import time

@@ -303,7 +303,8 @@ def geometric_sweep(a_star):
     return schedule, results, dilated, from_dilated
 
 
-def test_secant_warm_start_reaches_the_same_minimum_in_fewer_iterations(geometric_sweep):
+def test_unresolved_entry_from_the_secant_reaches_the_same_minimum_in_fewer_iterations(
+        geometric_sweep):
     _, results, _, from_dilated = geometric_sweep
     last = results[-1]
     assert last.converged and from_dilated.converged
@@ -311,9 +312,10 @@ def test_secant_warm_start_reaches_the_same_minimum_in_fewer_iterations(geometri
     assert last.iters < from_dilated.iters
 
 
-def test_secant_guess_is_closer_than_the_dilation(geometric_sweep, a_star):
+def test_secant_guess_of_an_unresolved_triple_is_closer_than_the_dilation(geometric_sweep,
+                                                                          a_star):
     schedule, results, dilated, _ = geometric_sweep
-    guess = _warm_start(schedule, [r.u for r in results[:3]], a_star)
+    guess = _warm_start(schedule, results[:3], a_star)
     target = results[3].u
 
     def distance(init):
@@ -322,6 +324,51 @@ def test_secant_guess_is_closer_than_the_dilation(geometric_sweep, a_star):
         return l2_norm(Field(target.grid, start.values - target.values))
 
     assert distance(guess) < distance(dilated)
+
+
+def _distance(init, target):
+    """L2 distance from the start minimize() makes of init, normalize(|init|), to target."""
+    start = normalize(Field(init.grid, np.abs(init.values)))
+    return l2_norm(Field(target.grid, start.values - target.values))
+
+
+def _secant_guess(schedule, results, a_star):
+    """Entry 3's secant warm start, u2 + theta (u2 - D1) carried into entry 3's frame."""
+    delta = [a_star - a for a in schedule]
+    theta = (schedule[3] - schedule[2]) / (schedule[2] - schedule[1])
+    u2 = results[2].u.values
+    d1 = dilate(results[1].u, (delta[1] / delta[2]) ** 0.25).values
+    return dilate(Field(results[2].u.grid, u2 + theta * (u2 - d1)), (delta[2] / delta[3]) ** 0.25)
+
+
+def test_unresolved_triple_falls_back_to_the_secant(geometric_sweep, a_star):
+    # every entry of the n=96 sweep is below four cells: the three-point term
+    # would amplify the dilations' error, so entry 3 starts from the secant
+    schedule, results, _, _ = geometric_sweep
+    assert all(r.resolution_warning for r in results[:3])
+    guess = _warm_start(schedule, results[:3], a_star)
+    secant = _secant_guess(schedule, results, a_star)
+    assert np.array_equal(guess.values, secant.values)
+
+
+def test_three_point_guess_of_a_resolved_sweep_beats_the_secant(a_star):
+    # the benchmark's sweep at n=192, entries 0-3, with eps/dx from 7.4 down
+    # to 5.3 >= 4: every minimizer is resolved, so entry 3 starts from the
+    # quadratic extrapolation in a* - a of entries 0-2
+    grid = make_grid(12.0, 192)
+    V = realize(PowerWell(h0=0.0625, p=2.0, rcut=8.0), grid)
+    schedule = [a_star * (1.0 - 0.05 * 0.65**k) for k in range(4)]
+    opts = MinimizerOptions(tol_residual=7.5e-7, max_iters=40000)
+    results = continuation_sweep(V, schedule, grid, opts, a_star=a_star)
+    assert all(r.eps >= MIN_WIDTH_CELLS * grid.dx for r in results)
+    three_point = _warm_start(schedule, results[:3], a_star)
+    secant = _secant_guess(schedule, results, a_star)
+    target = results[3].u
+    assert _distance(three_point, target) < _distance(secant, target)
+    from_secant = minimize(V, schedule[3], grid, opts, init=secant, a_star=a_star)
+    assert results[3].converged and from_secant.converged
+    assert results[3].E == pytest.approx(from_secant.E, abs=1e-10)
+    assert results[3].iters < from_secant.iters
 
 
 def test_sweep_schedule_validation(grid_small, a_star):
